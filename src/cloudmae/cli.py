@@ -179,8 +179,8 @@ def _dispatch(args):
             cloud = gen_synthetic(SyntheticSpec(
                 family=args.family, points=cfg.points,
                 noise_sigma=cfg.data.noise_sigma, seed=derive_seed(cfg.seed, "demo")))
-        ratio = cfg.mask_ratio if args.mask_ratio is None else args.mask_ratio
-        paths, report = reconstruct(ckpt, cloud, ratio, out_dir, seed=cfg.seed)
+        paths, report = reconstruct(ckpt, cloud, cfg.mask_ratio, out_dir,
+                                    seed=cfg.seed, mask_type=cfg.mask_type)
         print(f"chamfer to input: {report['chamfer']:.6f} "
               f"(centers-only baseline {report['baseline_chamfer']:.6f})")
         for name, path in paths.items():

@@ -5,7 +5,7 @@ CPU) and ``paper`` (the full-scale configuration for users with real data).
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 SHAPE_FAMILIES = ("sphere", "cube", "cylinder", "torus", "cone", "plane")
 
@@ -18,7 +18,6 @@ class BackboneConfig:
     heads: int = 6
     mlp_ratio: int = 4
     mask_token_placement: str = "decoder"  # decoder | encoder (ablation)
-    dropout: float = 0.0
     embed_widths: tuple = (128, 256, 512)  # patch embedder stage widths
 
     def __post_init__(self):
@@ -81,16 +80,29 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Build from a dict; unknown fields raise a ValueError naming them."""
         d = dict(d)
         if "model" in d:
-            d["model"] = BackboneConfig(**d["model"])
+            model = dict(d["model"])
+            # checkpoints written before dropout was removed store model.dropout = 0.0
+            if model.pop("dropout", 0.0) != 0.0:
+                raise ValueError("model.dropout is not supported; only 0.0 is accepted")
+            d["model"] = _build(BackboneConfig, model, "model.")
         if "data" in d:
-            d["data"] = DataSpec(**d["data"])
-        return cls(**d)
+            d["data"] = _build(DataSpec, d["data"], "data.")
+        return _build(cls, d, "")
 
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
+
+
+def _build(cls, values, prefix):
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("unknown config fields: "
+                         + ", ".join(prefix + name for name in unknown))
+    return cls(**values)
 
 
 def desk_preset(**overrides):

@@ -124,42 +124,36 @@ def build_patches(cloud, n, k, seed=0):
 
 
 def chamfer_l2(pred, gt):
-    """Symmetric l2 Chamfer distance between two point sets.
+    """Symmetric l2 Chamfer distance between point sets.
 
     Mean over ``pred`` of the squared distance to its nearest ``gt`` point,
     plus the same with the roles swapped. Differentiable through the
     nearest-neighbor assignments (ties route to the lowest-index neighbor).
+    Leading axes index aligned pairs of sets; every set in a stack has the
+    same size, so the mean of the per-pair distances is one reduction.
 
     Args:
-        pred: Tensor or array of shape (a, 3).
-        gt: Tensor or array of shape (b, 3).
+        pred: Tensor or array of shape (..., a, 3).
+        gt: Tensor or array of shape (..., b, 3), same leading axes.
 
     Returns:
         Scalar Tensor.
     """
     pred = pred if isinstance(pred, Tensor) else Tensor(pred)
     gt = gt if isinstance(gt, Tensor) else Tensor(gt)
-    if pred.ndim != 2 or gt.ndim != 2 or pred.shape[0] < 1 or gt.shape[0] < 1:
-        raise ValueError(f"chamfer: need non-empty (a,3)/(b,3), got {pred.shape}, {gt.shape}")
-    d = ad.sqdist(pred, gt)
-    fwd = ad.reduce_mean(ad.reduce_min(d, axis=1))
-    bwd = ad.reduce_mean(ad.reduce_min(d, axis=0))
+    if (min(pred.ndim, gt.ndim) < 2 or pred.shape[:-2] != gt.shape[:-2]
+            or pred.size == 0 or gt.size == 0):
+        raise ValueError(
+            f"chamfer: need non-empty (..., a, 3)/(..., b, 3), got {pred.shape}, {gt.shape}")
+    d = ad.sqdist(pred, gt)                       # ... x a x b
+    fwd = ad.reduce_mean(ad.reduce_min(d, axis=-1))
+    bwd = ad.reduce_mean(ad.reduce_min(d, axis=-2))
     return fwd + bwd
 
 
 def batch_chamfer(pred_patches, gt_patches):
-    """Mean of per-patch Chamfer distances over aligned patch stacks.
-
-    Both inputs are (m, k, 3) with identical patch order. All patches share
-    the same k, so the mean of per-patch means equals one batched reduction.
-    """
-    pred = pred_patches if isinstance(pred_patches, Tensor) else Tensor(pred_patches)
-    gt = gt_patches if isinstance(gt_patches, Tensor) else Tensor(gt_patches)
-    if pred.shape != gt.shape:
-        raise ValueError(f"batch_chamfer: shape mismatch {pred.shape} vs {gt.shape}")
-    if pred.ndim != 3 or pred.shape[0] < 1:
-        raise ValueError(f"batch_chamfer: need non-empty (m,k,3), got {pred.shape}")
-    d = ad.sqdist(pred, gt)                       # m x k x k
-    fwd = ad.reduce_mean(ad.reduce_min(d, axis=2))
-    bwd = ad.reduce_mean(ad.reduce_min(d, axis=1))
-    return fwd + bwd
+    """Mean of per-patch Chamfer distances over aligned, equal-shape patch stacks."""
+    if pred_patches.shape != gt_patches.shape:
+        raise ValueError(f"batch_chamfer: shape mismatch {pred_patches.shape} "
+                         f"vs {gt_patches.shape}")
+    return chamfer_l2(pred_patches, gt_patches)

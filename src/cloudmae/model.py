@@ -6,6 +6,12 @@ decoded mask tokens feed a fully connected head that regresses the masked
 patch coordinates. An ablation flag moves the mask tokens to the encoder
 input instead (the decoder is then skipped), which leaks patch locations to
 the encoder early.
+
+Every forward pass is batch-first: ``pretrain_forward_batch`` and
+``PointCloudClassifier.features_batch`` run a leading batch axis through one
+encoder stack and one decoder stack. The per-instance methods
+(``pretrain_forward``, ``encode``, ``decode``, ``features``, ``logits``) are
+thin wrappers that run a batch of one.
 """
 
 import math
@@ -32,13 +38,10 @@ class TokenSequence:
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64).reshape(-1, 3)
-        if self.tokens.shape[0] != self.centers.shape[0] != len(self.roles):
+        if not self.tokens.shape[0] == self.centers.shape[0] == len(self.roles):
             raise ValueError(
                 f"token/center/role counts differ: {self.tokens.shape[0]}, "
                 f"{self.centers.shape[0]}, {len(self.roles)}")
-
-    def __len__(self):
-        return self.tokens.shape[0]
 
 
 class TransformerBlock:
@@ -47,14 +50,12 @@ class TransformerBlock:
     x <- x + MHSA(LN(x + pe)); x <- x + MLP(LN(x)).
     """
 
-    def __init__(self, store, prefix, dim, heads, mlp_ratio=4, drop=0.0):
+    def __init__(self, store, prefix, dim, heads, mlp_ratio=4):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
-        self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
         self.scale = 1.0 / math.sqrt(self.head_dim)
-        self.drop = drop
         hidden = mlp_ratio * dim
         p = prefix
         self.ln1_g = store.add(f"{p}.ln1.gain", (dim,), init="ones")
@@ -74,36 +75,51 @@ class TransformerBlock:
         self.w_mlp2 = store.add(f"{p}.mlp.lin2.w", (hidden, dim))
         self.b_mlp2 = store.add(f"{p}.mlp.lin2.b", (dim,), init="zeros")
 
-    def _attention(self, h, train, rng):
-        # h is (s, dim) for a single sequence or (B, s, dim) batched
-        s = h.shape[-2]
-        if h.ndim == 2:
-            head_shape, perm, last2 = (s, self.heads, self.head_dim), (1, 0, 2), (0, 2, 1)
-        else:
-            b = h.shape[0]
-            head_shape, perm, last2 = (b, s, self.heads, self.head_dim), (0, 2, 1, 3), (0, 1, 3, 2)
+    def _attention(self, h):
+        # h is (..., s, dim); heads split to (..., heads, s, head_dim)
+        n = h.ndim
+        head_shape = h.shape[:-1] + (self.heads, self.head_dim)
+        perm = tuple(range(n - 2)) + (n - 1, n - 2, n)
+        last2 = tuple(range(n - 1)) + (n, n - 1)
         q = ad.linear(h, self.wq, self.bq)
         k = ad.linear(h, self.wk, self.bk)
         v = ad.linear(h, self.wv, self.bv)
         split = lambda t: ad.transpose(ad.reshape(t, head_shape), perm)
         qh, kh, vh = split(q), split(k), split(v)
         scores = ad.matmul(qh, ad.transpose(kh, last2)) * self.scale
-        weights = ad.softmax(scores)
-        if self.drop > 0.0:
-            weights = ad.dropout(weights, self.drop, train, rng)
-        ctx = ad.matmul(weights, vh)
+        ctx = ad.matmul(ad.softmax(scores), vh)
         ctx = ad.reshape(ad.transpose(ctx, perm), h.shape)
         return ad.linear(ctx, self.wo, self.bo)
 
-    def __call__(self, x, pe, train=False, rng=None):
+    def __call__(self, x, pe):
         if x.shape != pe.shape:
             raise ValueError(f"block: token shape {x.shape} != pe shape {pe.shape}")
-        x = x + self._attention(ad.layer_norm(x + pe, self.ln1_g, self.ln1_b), train, rng)
+        x = x + self._attention(ad.layer_norm(x + pe, self.ln1_g, self.ln1_b))
         h = ad.gelu(ad.linear(ad.layer_norm(x, self.ln2_g, self.ln2_b),
                               self.w_mlp1, self.b_mlp1))
-        if self.drop > 0.0:
-            h = ad.dropout(h, self.drop, train, rng)
         return x + ad.linear(h, self.w_mlp2, self.b_mlp2)
+
+
+def _run_stack(x, centers, pe_mlp, blocks, ln_g, ln_b):
+    """Positional MLP -> blocks -> layer norm on (B, s, dim) tokens at (B, s, 3) centers."""
+    pe = ad.reshape(pe_mlp(np.reshape(centers, (-1, 3))), x.shape)
+    for block in blocks:
+        x = block(x, pe)
+    return ad.layer_norm(x, ln_g, ln_b)
+
+
+class ClassifierHead:
+    """Two-layer GELU MLP from pooled features to logits, on (B, in_dim) rows."""
+
+    def __init__(self, store, prefix, in_dim, hidden, n_out):
+        self.w1 = store.add(f"{prefix}.lin1.w", (in_dim, hidden))
+        self.b1 = store.add(f"{prefix}.lin1.b", (hidden,), init="zeros")
+        self.w2 = store.add(f"{prefix}.lin2.w", (hidden, n_out))
+        self.b2 = store.add(f"{prefix}.lin2.b", (n_out,), init="zeros")
+
+    def __call__(self, features):
+        h = ad.gelu(ad.linear(features, self.w1, self.b1))
+        return ad.linear(h, self.w2, self.b2)
 
 
 class MaskedAutoencoder:
@@ -117,19 +133,17 @@ class MaskedAutoencoder:
         self.embedder = PatchEmbedder(self.store, dim, widths=cfg.embed_widths)
         self.pe_encoder = PositionalMLP(self.store, dim, "pe_enc")
         self.encoder_blocks = [
-            TransformerBlock(self.store, f"encoder.block{i}", dim, cfg.heads,
-                             cfg.mlp_ratio, cfg.dropout)
+            TransformerBlock(self.store, f"encoder.block{i}", dim, cfg.heads, cfg.mlp_ratio)
             for i in range(cfg.encoder_depth)
         ]
         self.enc_ln_g = self.store.add("encoder.ln.gain", (dim,), init="ones")
         self.enc_ln_b = self.store.add("encoder.ln.bias", (dim,), init="zeros")
-        self.include_decoder = include_decoder
         if include_decoder:
             self.pe_decoder = PositionalMLP(self.store, dim, "pe_dec")
             self.mask_token = MaskToken(self.store, dim)
             self.decoder_blocks = [
                 TransformerBlock(self.store, f"decoder.block{i}", dim, cfg.heads,
-                                 cfg.mlp_ratio, cfg.dropout)
+                                 cfg.mlp_ratio)
                 for i in range(cfg.decoder_depth)
             ]
             self.dec_ln_g = self.store.add("decoder.ln.gain", (dim,), init="ones")
@@ -137,8 +151,23 @@ class MaskedAutoencoder:
             self.head_w = self.store.add("head.w", (dim, 3 * patch_size))
             self.head_b = self.store.add("head.b", (3 * patch_size,), init="zeros")
 
-    def encode(self, seq: TokenSequence, train=False, rng=None) -> TokenSequence:
-        """Run the encoder stack over a token sequence.
+    def embed_batch(self, patches):
+        """(B, s, k, 3) patch offsets -> (B, s, dim) tokens."""
+        b, s, k, _ = patches.shape
+        return ad.reshape(self.embedder(patches.reshape(b * s, k, 3)), (b, s, self.cfg.dim))
+
+    def encoder_stack(self, x, centers):
+        """Encoder over (B, s, dim) tokens at (B, s, 3) centers."""
+        return _run_stack(x, centers, self.pe_encoder, self.encoder_blocks,
+                          self.enc_ln_g, self.enc_ln_b)
+
+    def decoder_stack(self, x, centers):
+        """Decoder over (B, s, dim) tokens at (B, s, 3) centers."""
+        return _run_stack(x, centers, self.pe_decoder, self.decoder_blocks,
+                          self.dec_ln_g, self.dec_ln_b)
+
+    def encode(self, seq: TokenSequence) -> TokenSequence:
+        """Run the encoder stack over one token sequence.
 
         In decoder placement, mask-role tokens at the encoder input are a
         contract violation (they would leak masked-patch locations) and
@@ -146,146 +175,85 @@ class MaskedAutoencoder:
         """
         if self.cfg.mask_token_placement == "decoder" and "mask" in seq.roles:
             raise ValueError("encoder received mask tokens in decoder placement mode")
-        pe = self.pe_encoder(seq.centers)
-        x = seq.tokens
-        for block in self.encoder_blocks:
-            x = block(x, pe, train, rng)
-        x = ad.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
-        return TokenSequence(x, seq.centers, tuple("encoded" for _ in seq.roles))
+        x = self.encoder_stack(ad.reshape(seq.tokens, (1,) + seq.tokens.shape), seq.centers)
+        return TokenSequence(ad.reshape(x, seq.tokens.shape), seq.centers,
+                             ("encoded",) * len(seq.roles))
 
-    def decode(self, encoded, mask_tokens, centers_all, train=False, rng=None):
+    def decode(self, encoded, mask_tokens, centers_all):
         """Decode concat(encoded, mask tokens); return only the mask positions."""
-        v = encoded.shape[0]
-        mn = mask_tokens.shape[0]
+        v, mn = encoded.shape[0], mask_tokens.shape[0]
         centers_all = np.asarray(centers_all, dtype=np.float64).reshape(-1, 3)
         if centers_all.shape[0] != v + mn:
             raise ValueError(
                 f"decode: {centers_all.shape[0]} centers for {v}+{mn} tokens")
-        x = ad.concat([encoded, mask_tokens], axis=0)
-        pe = self.pe_decoder(centers_all)
-        for block in self.decoder_blocks:
-            x = block(x, pe, train, rng)
-        x = ad.layer_norm(x, self.dec_ln_g, self.dec_ln_b)
-        return ad.gather(x, np.arange(v, v + mn), axis=0)
+        x = ad.reshape(ad.concat([encoded, mask_tokens], axis=0), (1, v + mn, self.cfg.dim))
+        x = self.decoder_stack(x, centers_all)
+        return ad.reshape(ad.gather(x, np.arange(v, v + mn), axis=1), (mn, self.cfg.dim))
 
     def predict(self, decoded_mask_tokens):
-        """FC head, then reshape to (mn, k, 3) patch offsets."""
-        mn = decoded_mask_tokens.shape[0]
+        """FC head, then reshape (..., mn, dim) tokens to (..., mn, k, 3) patch offsets."""
         flat = ad.linear(decoded_mask_tokens, self.head_w, self.head_b)
-        return ad.reshape(flat, (mn, self.patch_size, 3))
+        return ad.reshape(flat, decoded_mask_tokens.shape[:-1] + (self.patch_size, 3))
 
-    def pretrain_forward(self, cloud, n_patches, ratio, seed, mask_type="random",
-                         train=True, rng=None):
-        """Full masked-reconstruction pass on one cloud.
+    def pretrain_forward(self, cloud, n_patches, ratio, seed, mask_type="random"):
+        """Full masked-reconstruction pass on one cloud: a batch of one.
 
         Returns (loss, diagnostics); diagnostics carry the patch set, mask
         spec, predicted patches, and ground-truth patches so callers can
         export reconstructions.
         """
-        patchset = build_patches(cloud, n_patches, self.patch_size,
-                                 seed=derive_seed(seed, "patches"))
-        spec = make_mask(mask_type, patchset.n, patchset.centers, ratio,
-                         derive_seed(seed, "mask"))
-        (vis_p, vis_c), (gt_p, gt_c) = split_patches(patchset, spec)
-        v, mn = len(spec.visible), len(spec.masked)
-
-        t_v = self.embedder(vis_p)
-        if self.cfg.mask_token_placement == "decoder":
-            encoded = self.encode(
-                TokenSequence(t_v, vis_c, tuple("visible" for _ in range(v))),
-                train, rng)
-            t_m = self.mask_token.expand(mn)
-            h_m = self.decode(encoded.tokens, t_m,
-                              np.concatenate([vis_c, gt_c], axis=0), train, rng)
-        else:
-            t_m = self.mask_token.expand(mn)
-            tokens = ad.concat([t_v, t_m], axis=0)
-            roles = tuple("visible" for _ in range(v)) + tuple("mask" for _ in range(mn))
-            encoded = self.encode(
-                TokenSequence(tokens, np.concatenate([vis_c, gt_c], axis=0), roles),
-                train, rng)
-            h_m = ad.gather(encoded.tokens, np.arange(v, v + mn), axis=0)
-
-        predicted = self.predict(h_m)
-        if mn == 0:
-            loss = Tensor(0.0)
-        else:
-            loss = batch_chamfer(predicted, Tensor(gt_p))
+        loss, batch = self.pretrain_forward_batch([cloud], n_patches, ratio, [seed],
+                                                  mask_type=mask_type)
         diagnostics = {
-            "patchset": patchset,
-            "mask": spec,
-            "visible_count": v,
-            "masked_count": mn,
-            "predicted": predicted.data,
-            "target": gt_p,
+            "patchset": batch["patchsets"][0],
+            "mask": batch["masks"][0],
+            "visible_count": batch["visible_count"],
+            "masked_count": batch["masked_count"],
+            "predicted": batch["predicted"][0],
+            "target": batch["target"][0],
             "loss": float(loss.data),
         }
         return loss, diagnostics
 
     def pretrain_forward_batch(self, clouds, n_patches, ratio, seeds,
-                               mask_type="random", train=True, rng=None):
+                               mask_type="random", train=True):
         """Batched pretraining pass; the loss is the mean over instances.
 
-        Same patch/mask seed derivation as ``pretrain_forward``, but the
-        whole batch runs as one graph with a leading batch axis, which is
-        substantially faster than per-instance graphs. All instances share
-        (n, ratio), so visible/masked counts align.
+        Each instance derives its patch and mask seeds from its own seed. All
+        instances share (n, ratio), so visible/masked counts align and the
+        whole batch runs as one graph with a leading batch axis. ``train`` is
+        accepted for callers that pass it; no layer behaves differently in
+        training. Returns (loss, diagnostics) with per-instance patch sets
+        and masks and (B, mn, k, 3) predicted and target patches.
         """
-        vis_list, gt_list, visc_list, allc_list = [], [], [], []
+        patchsets, masks, vis, gt, vis_c, all_c = [], [], [], [], [], []
         for cloud, seed in zip(clouds, seeds):
             patchset = build_patches(cloud, n_patches, self.patch_size,
                                      seed=derive_seed(seed, "patches"))
             spec = make_mask(mask_type, patchset.n, patchset.centers, ratio,
                              derive_seed(seed, "mask"))
-            (vis_p, vis_c), (gt_p, gt_c) = split_patches(patchset, spec)
-            vis_list.append(vis_p)
-            gt_list.append(gt_p)
-            visc_list.append(vis_c)
-            allc_list.append(np.concatenate([vis_c, gt_c], axis=0))
-        b = len(clouds)
-        vis = np.stack(vis_list)      # b x v x k x 3
-        gt = np.stack(gt_list)        # b x mn x k x 3
-        v, mn = vis.shape[1], gt.shape[1]
-        k, dim = self.patch_size, self.cfg.dim
+            (vis_p, vc), (gt_p, gc) = split_patches(patchset, spec)
+            patchsets.append(patchset)
+            masks.append(spec)
+            vis.append(vis_p)
+            gt.append(gt_p)
+            vis_c.append(vc)
+            all_c.append(np.concatenate([vc, gc], axis=0))
+        vis, gt = np.stack(vis), np.stack(gt)     # B x v x k x 3, B x mn x k x 3
+        b, v, mn = len(clouds), vis.shape[1], gt.shape[1]
+        centers_all = np.stack(all_c)              # B x (v+mn) x 3
 
-        tokens = ad.reshape(self.embedder(Tensor(vis.reshape(b * v, k, 3))),
-                            (b, v, dim))
-        centers_all = np.stack(allc_list)  # b x (v+mn) x 3
-
-        def pos(mlp, centers):
-            flat = mlp(centers.reshape(-1, 3))
-            return ad.reshape(flat, (b, centers.shape[1], dim))
-
+        tokens = self.embed_batch(vis)
+        t_m = ad.broadcast_to(self.mask_token.param, (b, mn, self.cfg.dim))
         if self.cfg.mask_token_placement == "decoder":
-            pe = pos(self.pe_encoder, np.stack(visc_list))
-            x = tokens
-            for block in self.encoder_blocks:
-                x = block(x, pe, train, rng)
-            x = ad.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
-            t_m = ad.broadcast_to(self.mask_token.param, (b, mn, dim))
-            x = ad.concat([x, t_m], axis=1)
-            pe_dec = pos(self.pe_decoder, centers_all)
-            for block in self.decoder_blocks:
-                x = block(x, pe_dec, train, rng)
-            x = ad.layer_norm(x, self.dec_ln_g, self.dec_ln_b)
-            h_m = ad.gather(x, np.arange(v, v + mn), axis=1)
+            x = ad.concat([self.encoder_stack(tokens, np.stack(vis_c)), t_m], axis=1)
+            x = self.decoder_stack(x, centers_all)
         else:
-            t_m = ad.broadcast_to(self.mask_token.param, (b, mn, dim))
-            x = ad.concat([tokens, t_m], axis=1)
-            pe = pos(self.pe_encoder, centers_all)
-            for block in self.encoder_blocks:
-                x = block(x, pe, train, rng)
-            x = ad.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
-            h_m = ad.gather(x, np.arange(v, v + mn), axis=1)
-
-        predicted = ad.reshape(ad.linear(h_m, self.head_w, self.head_b),
-                               (b, mn, k, 3))
-        if mn == 0:
-            return Tensor(0.0), {"visible_count": v, "masked_count": mn}
-        d = ad.sqdist(predicted, Tensor(gt))
-        loss = ad.reduce_mean(ad.reduce_min(d, axis=3)) \
-            + ad.reduce_mean(ad.reduce_min(d, axis=2))
-        return loss, {"visible_count": v, "masked_count": mn}
+            x = self.encoder_stack(ad.concat([tokens, t_m], axis=1), centers_all)
+        predicted = self.predict(ad.gather(x, np.arange(v, v + mn), axis=1))
+        loss = batch_chamfer(predicted, Tensor(gt)) if mn else Tensor(0.0)
+        return loss, {"visible_count": v, "masked_count": mn, "patchsets": patchsets,
+                      "masks": masks, "predicted": predicted.data, "target": gt}
 
 
 class PointCloudClassifier:
@@ -298,69 +266,44 @@ class PointCloudClassifier:
     def __init__(self, cfg, patch_size, n_patches, n_classes, seed=0):
         self.cfg = cfg
         self.n_patches = n_patches
-        self.n_classes = n_classes
         self.store = ParamStore(seed)
         self.backbone = MaskedAutoencoder(cfg, patch_size, store=self.store,
                                           include_decoder=False)
-        dim = cfg.dim
-        self.head_w1 = self.store.add("cls_head.lin1.w", (2 * dim, dim))
-        self.head_b1 = self.store.add("cls_head.lin1.b", (dim,), init="zeros")
-        self.head_w2 = self.store.add("cls_head.lin2.w", (dim, n_classes))
-        self.head_b2 = self.store.add("cls_head.lin2.b", (n_classes,), init="zeros")
+        self.head = ClassifierHead(self.store, "cls_head", 2 * cfg.dim, cfg.dim, n_classes)
 
     def load_backbone(self, arrays):
-        """Load encoder/embedder weights from a pretraining checkpoint."""
-        subset = {k: v for k, v in arrays.items() if k in self.store}
-        missing = [k for k in self.store.names()
-                   if not k.startswith("cls_head.") and k not in subset]
-        if missing:
-            raise KeyError(f"checkpoint missing backbone parameters: {missing[:3]}...")
-        for name, value in subset.items():
-            tensor = self.store[name]
-            if value.shape != tensor.data.shape:
-                raise ValueError(f"parameter {name!r}: shape {value.shape} != "
-                                 f"{tensor.data.shape}")
-            tensor.data = np.ascontiguousarray(value, dtype=np.float64)
+        """Load encoder/embedder weights from a pretraining checkpoint.
 
-    def features(self, cloud, seed, train=False, rng=None):
-        """(1, 2*dim) pooled encoder features for one cloud; all patches visible."""
-        patchset = build_patches(cloud, self.n_patches, self.backbone.patch_size,
-                                 seed=derive_seed(seed, "patches"))
-        tokens = self.backbone.embedder(patchset.patches)
-        encoded = self.backbone.encode(
-            TokenSequence(tokens, patchset.centers,
-                          tuple("visible" for _ in range(patchset.n))),
-            train, rng)
-        pooled = ad.concat([ad.reduce_max(encoded.tokens, axis=0),
-                            ad.reduce_mean(encoded.tokens, axis=0)], axis=0)
-        return ad.reshape(pooled, (1, 2 * self.cfg.dim))
+        The head keeps its own values unless ``arrays`` carries them; decoder
+        parameters in ``arrays`` are ignored.
+        """
+        head = {k: v for k, v in self.store.state_arrays().items() if k.startswith("cls_head.")}
+        self.store.load_arrays({**head, **arrays})
 
-    def logits(self, cloud, seed, train=False, rng=None):
-        f = self.features(cloud, seed, train, rng)
-        h = ad.gelu(ad.linear(f, self.head_w1, self.head_b1))
-        return ad.linear(h, self.head_w2, self.head_b2)
+    def features_batch(self, clouds, seeds):
+        """(B, 2*dim) pooled encoder features; all patches visible."""
+        sets = [build_patches(cloud, self.n_patches, self.backbone.patch_size,
+                              seed=derive_seed(seed, "patches"))
+                for cloud, seed in zip(clouds, seeds)]
+        tokens = self.backbone.embed_batch(np.stack([ps.patches for ps in sets]))
+        x = self.backbone.encoder_stack(tokens, np.stack([ps.centers for ps in sets]))
+        return ad.concat([ad.reduce_max(x, axis=1), ad.reduce_mean(x, axis=1)], axis=1)
 
-    def logits_batch(self, clouds, seeds, train=False, rng=None):
-        """(B, n_classes) logits for a batch of clouds in one graph."""
-        b = len(clouds)
-        n, k, dim = self.n_patches, self.backbone.patch_size, self.cfg.dim
-        patch_stack, center_stack = [], []
-        for cloud, seed in zip(clouds, seeds):
-            ps = build_patches(cloud, n, k, seed=derive_seed(seed, "patches"))
-            patch_stack.append(ps.patches)
-            center_stack.append(ps.centers)
-        patches = np.stack(patch_stack).reshape(b * n, k, 3)
-        centers = np.stack(center_stack)                       # b x n x 3
-        tokens = ad.reshape(self.backbone.embedder(Tensor(patches)), (b, n, dim))
-        pe = ad.reshape(self.backbone.pe_encoder(centers.reshape(-1, 3)), (b, n, dim))
-        x = tokens
-        for block in self.backbone.encoder_blocks:
-            x = block(x, pe, train, rng)
-        x = ad.layer_norm(x, self.backbone.enc_ln_g, self.backbone.enc_ln_b)
-        pooled = ad.concat([ad.reduce_max(x, axis=1), ad.reduce_mean(x, axis=1)],
-                           axis=1)                             # b x 2*dim
-        h = ad.gelu(ad.linear(pooled, self.head_w1, self.head_b1))
-        return ad.linear(h, self.head_w2, self.head_b2)
+    def features(self, cloud, seed):
+        """(1, 2*dim) pooled encoder features for one cloud."""
+        return self.features_batch([cloud], [seed])
+
+    def logits(self, cloud, seed, train=False):
+        """(1, n_classes) logits for one cloud."""
+        return self.logits_batch([cloud], [seed], train=train)
+
+    def logits_batch(self, clouds, seeds, train=False):
+        """(B, n_classes) logits for a batch of clouds in one graph.
+
+        ``train`` is accepted for callers that pass it; no layer behaves
+        differently in training.
+        """
+        return self.head(self.features_batch(clouds, seeds))
 
 
 def cross_entropy(logits, label):

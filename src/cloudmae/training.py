@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import NumericsError, Tensor, backward
 from .config import RunConfig
 from .data import augment, build_dataset, save_ply
 from .geometry import PointCloud, chamfer_l2
-from .model import (MaskedAutoencoder, PointCloudClassifier, cross_entropy,
+from .model import (ClassifierHead, MaskedAutoencoder, PointCloudClassifier,
                     cross_entropy_batch)
 from .params import AdamW, ParamStore, cosine_lr, read_container, write_container
 from .seeding import derive_rng, derive_seed
@@ -267,7 +266,7 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
             clouds = [augment(train[idx], derive_seed(seed, "aug", epoch, int(idx)))
                       for idx in batch]
             labels = [label_pos[train[idx].label] for idx in batch]
-            logits = clf.logits_batch(clouds, view_seeds, train=True)
+            logits = clf.logits_batch(clouds, view_seeds)
             loss = cross_entropy_batch(logits, labels)
             backward(loss)
             epoch_losses.append(float(loss.data))
@@ -290,7 +289,7 @@ def evaluate_classifier(clf, items, label_pos, seed, batch_size=16):
     for start in range(0, len(items), batch_size):
         chunk = items[start:start + batch_size]
         seeds = [derive_seed(seed, "eval", start + i) for i in range(len(chunk))]
-        logits = clf.logits_batch(chunk, seeds, train=False)
+        logits = clf.logits_batch(chunk, seeds)
         preds = np.argmax(logits.data, axis=1)
         correct += sum(int(p) == label_pos[c.label] for p, c in zip(preds, chunk))
     return correct / len(items)
@@ -322,14 +321,19 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
     clf_like.load_backbone(checkpoint.params)
 
     feature_cache = {}
-
-    def features_of(cloud, key):
-        if key not in feature_cache:
-            f = clf_like.features(cloud, seed=derive_seed(seed, "feat", key))
-            feature_cache[key] = f.data.copy()
-        return feature_cache[key]
-
     pool_index = {id(c): i for i, c in enumerate(pool)}
+
+    def stacked(pairs):
+        """(m, 2*dim) features and labels of (cloud, label) pairs; features cached per cloud."""
+        rows = []
+        for cloud, _ in pairs:
+            key = pool_index[id(cloud)]
+            if key not in feature_cache:
+                feature_cache[key] = clf_like.features(
+                    cloud, seed=derive_seed(seed, "feat", key)).data
+            rows.append(feature_cache[key])
+        return Tensor(np.concatenate(rows)), [y for _, y in pairs]
+
     labels_sorted = sorted(by_class.keys())
     accuracies = []
     for run in range(runs):
@@ -343,17 +347,11 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
                 supports.append((items[j], ci))
             for j in picked[m_shot:]:
                 queries.append((items[j], ci))
-
-        head = _train_fewshot_head(
-            cfg.model, n_way,
-            [(features_of(c, pool_index[id(c)]), y) for c, y in supports],
-            derive_seed(seed, "head", run), head_epochs, head_lr)
-        correct = 0
-        for cloud, y in queries:
-            logits = _head_logits(head, features_of(cloud, pool_index[id(cloud)]))
-            if int(np.argmax(logits.data)) == y:
-                correct += 1
-        accuracies.append(correct / len(queries))
+        head = _train_fewshot_head(cfg.model, n_way, *stacked(supports),
+                                   derive_seed(seed, "head", run), head_epochs, head_lr)
+        feats, labels = stacked(queries)
+        preds = np.argmax(head(feats).data, axis=1)
+        accuracies.append(int(np.sum(preds == labels)) / len(queries))
 
     acc = np.array(accuracies)
     return {
@@ -366,33 +364,16 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
     }
 
 
-def _train_fewshot_head(cfg, n_way, support_features, seed, epochs, lr):
+def _train_fewshot_head(cfg, n_way, features, labels, seed, epochs, lr):
+    """Full-batch AdamW on the mean support cross-entropy, one step per epoch."""
     store = ParamStore(seed)
-    dim = cfg.dim
-    head = {
-        "w1": store.add("w1", (2 * dim, dim)),
-        "b1": store.add("b1", (dim,), init="zeros"),
-        "w2": store.add("w2", (dim, n_way)),
-        "b2": store.add("b2", (n_way,), init="zeros"),
-        "store": store,
-    }
+    head = ClassifierHead(store, "fewshot_head", 2 * cfg.dim, cfg.dim, n_way)
     opt = AdamW(store, lr=lr, weight_decay=0.0)
-    order_rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        order = order_rng.permutation(len(support_features))
         store.zero_grad()
-        for idx in order:
-            feat, y = support_features[idx]
-            loss = cross_entropy(_head_logits(head, feat), y)
-            backward(loss * (1.0 / len(support_features)))
+        backward(cross_entropy_batch(head(features), labels))
         opt.step()
     return head
-
-
-def _head_logits(head, feature_array):
-    x = Tensor(feature_array)
-    h = ad.gelu(ad.linear(x, head["w1"], head["b1"]))
-    return ad.linear(h, head["w2"], head["b2"])
 
 
 def ablate_mask(config: RunConfig, types=("random",), ratios=(0.4, 0.6, 0.8),
@@ -443,7 +424,7 @@ def chamfer_value(a, b):
     return float(chamfer_l2(Tensor(np.asarray(a)), Tensor(np.asarray(b))).data)
 
 
-def reconstruction_report(model, cloud, n_patches, ratio, seed):
+def reconstruction_report(model, cloud, n_patches, ratio, seed, mask_type="random"):
     """Reconstruct one cloud and compare against the centers-only baseline.
 
     The reconstruction is the union of the visible input points and the
@@ -451,7 +432,7 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed):
     replaces each predicted patch with k copies of its center.
     """
     _, diag = model.pretrain_forward(cloud, n_patches, ratio, seed=seed,
-                                     train=False)
+                                     mask_type=mask_type)
     ps, spec = diag["patchset"], diag["mask"]
     vis_idx = np.unique(ps.point_indices[spec.visible].reshape(-1))
     visible_pts = cloud.points[vis_idx]
@@ -461,13 +442,10 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed):
     baseline_abs = np.repeat(centers_m, k, axis=0)
 
     if len(spec.masked) == 0:
-        recon = cloud.points
-        baseline = cloud.points
+        recon = baseline = cloud.points
     else:
-        recon = np.concatenate([visible_pts, predicted_abs]) if visible_pts.size \
-            else predicted_abs
-        baseline = np.concatenate([visible_pts, baseline_abs]) if visible_pts.size \
-            else baseline_abs
+        recon = np.concatenate([visible_pts, predicted_abs])
+        baseline = np.concatenate([visible_pts, baseline_abs])
     return {
         "visible_points": visible_pts,
         "predicted_points": predicted_abs,
@@ -479,14 +457,16 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed):
     }
 
 
-def reconstruct(checkpoint: Checkpoint, cloud, ratio, out_dir, seed=0):
+def reconstruct(checkpoint: Checkpoint, cloud, ratio, out_dir, seed=0,
+                mask_type="random"):
     """Write the {input, masked, reconstruction} PLY triad for one cloud."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"mask ratio {ratio} outside [0, 1]")
     cfg = checkpoint.config()
     model = checkpoint.build_model()
     report = reconstruction_report(model, cloud, cfg.n_patches, ratio,
-                                   seed=derive_seed(seed, "reconstruct"))
+                                   seed=derive_seed(seed, "reconstruct"),
+                                   mask_type=mask_type)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {

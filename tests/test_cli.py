@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from cloudmae import cli
 from cloudmae.cli import main
-from cloudmae.config import desk_preset
+from cloudmae.config import RunConfig, desk_preset
 from cloudmae.data import load_points
+from cloudmae.training import pretrain, reconstruct
 
 
 @pytest.fixture
@@ -66,6 +68,26 @@ def test_pretrain_then_downstream_commands(tmp_path, tiny_config_file, capsys):
     assert rc == 0
     for name in ("input.ply", "masked.ply", "reconstruction.ply"):
         assert load_points(recon_dir / name).p > 0
+
+
+def test_reconstruct_honours_mask_type(tmp_path, tiny_config_file, monkeypatch):
+    cfg = RunConfig.from_json(tiny_config_file.read_text())
+    cfg.epochs = cfg.warmup_epochs = 0
+    ckpt_path = tmp_path / "init.bin"
+    pretrain(cfg)[0].save(ckpt_path)
+    reports = []
+
+    def recording(*args, **kwargs):
+        paths, report = reconstruct(*args, **kwargs)
+        reports.append(report)
+        return paths, report
+
+    monkeypatch.setattr(cli, "reconstruct", recording)
+    rc = main(["reconstruct", "--config", str(tiny_config_file),
+               "--checkpoint", str(ckpt_path), "--out", str(tmp_path / "recon"),
+               "--mask-type", "block"])
+    assert rc == 0
+    assert reports[0]["mask"].anchor is not None
 
 
 def test_gen_data_writes_manifest(tmp_path, tiny_config_file):

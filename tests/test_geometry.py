@@ -169,6 +169,17 @@ class TestChamfer:
             b = rng.normal(size=(int(rng.integers(1, 32)), 3))
             got = float(chamfer_l2(a, b).data)
             assert abs(got - chamfer_loop_oracle(a, b)) < 1e-12
+        # leading axes index aligned pairs; the result is the mean over pairs
+        a, b = rng.normal(size=(2, 3, 7, 3)), rng.normal(size=(2, 3, 11, 3))
+        want = np.mean([chamfer_loop_oracle(a[i, j], b[i, j])
+                        for i in range(2) for j in range(3)])
+        assert abs(float(chamfer_l2(a, b).data) - want) < 1e-12
+
+    def test_mismatched_leading_axes_rejected(self):
+        with pytest.raises(ValueError):
+            chamfer_l2(np.zeros((2, 4, 3)), np.zeros((3, 4, 3)))
+        with pytest.raises(ValueError):
+            chamfer_l2(np.zeros((2, 4, 3)), np.zeros((4, 3)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)

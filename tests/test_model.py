@@ -5,7 +5,7 @@ from cloudmae import autodiff as ad
 from cloudmae.autodiff import Tensor, backward, gradient_check
 from cloudmae.config import BackboneConfig
 from cloudmae.data import SyntheticSpec, gen_synthetic
-from cloudmae.geometry import build_patches
+from cloudmae.geometry import batch_chamfer, build_patches
 from cloudmae.masking import random_mask, split_patches
 from cloudmae.model import (MaskedAutoencoder, PointCloudClassifier,
                             TokenSequence, TransformerBlock, cross_entropy,
@@ -48,7 +48,7 @@ class TestTransformerBlock:
         h = ad.layer_norm(x + pe, block.ln1_g, block.ln1_b)
         v = ad.linear(h, block.wv, block.bv)
         want = ad.linear(v, block.wo, block.bo)
-        got = block._attention(h, train=False, rng=None)
+        got = block._attention(h)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
     def test_zeroed_out_projection_leaves_mlp_path(self):
@@ -216,6 +216,38 @@ class TestPretrainForward:
         assert float(batched.data) == pytest.approx(np.mean(singles), abs=1e-12)
         assert info["masked_count"] == 10
 
+    @pytest.mark.parametrize("placement", ["decoder", "encoder"])
+    def test_single_instance_equals_batch_of_one(self, placement):
+        model = small_model(placement, seed=6)
+        cloud = cloud_for(34)
+        loss, diag = model.pretrain_forward(cloud, 16, 0.6, seed=44)
+        b_loss, batch = model.pretrain_forward_batch([cloud], 16, 0.6, seeds=[44])
+        assert np.array_equal(loss.data, b_loss.data)
+        assert np.array_equal(diag["predicted"], batch["predicted"][0])
+        assert np.array_equal(diag["target"], batch["target"][0])
+        assert np.array_equal(diag["mask"].masked, batch["masks"][0].masked)
+
+    @pytest.mark.parametrize("placement", ["decoder", "encoder"])
+    def test_single_instance_equals_composed_pieces(self, placement):
+        # embed -> encode -> (decode) -> predict -> chamfer, one sequence at a time
+        model = small_model(placement, seed=7)
+        cloud = cloud_for(35)
+        loss, diag = model.pretrain_forward(cloud, 16, 0.6, seed=45)
+        (vis, vis_c), (gt, gt_c) = split_patches(diag["patchset"], diag["mask"])
+        v, mn = len(vis), len(gt)
+        tokens = model.embedder(Tensor(vis))
+        centers = np.concatenate([vis_c, gt_c])
+        if placement == "decoder":
+            enc = model.encode(TokenSequence(tokens, vis_c, ("visible",) * v))
+            h_m = model.decode(enc.tokens, model.mask_token.expand(mn), centers)
+        else:
+            seq = TokenSequence(ad.concat([tokens, model.mask_token.expand(mn)]),
+                                centers, ("visible",) * v + ("mask",) * mn)
+            h_m = ad.gather(model.encode(seq).tokens, np.arange(v, v + mn))
+        predicted = model.predict(h_m)
+        assert np.array_equal(predicted.data, diag["predicted"])
+        assert np.array_equal(batch_chamfer(predicted, gt).data, loss.data)
+
     def test_single_instance_overfit_loss_decreases(self):
         from cloudmae.params import AdamW
         from cloudmae.autodiff import backward
@@ -252,6 +284,18 @@ class TestClassifier:
         for i, c in enumerate(clouds):
             single = clf.logits(c, seed=[5, 6][i]).data[0]
             assert np.allclose(batched[i], single, atol=1e-10)
+
+    @pytest.mark.parametrize("placement", ["decoder", "encoder"])
+    def test_single_instance_equals_batch_of_one(self, placement):
+        cfg = BackboneConfig(dim=32, encoder_depth=2, decoder_depth=1, heads=4,
+                             embed_widths=(16, 32, 64), mask_token_placement=placement)
+        clf = PointCloudClassifier(cfg, patch_size=8, n_patches=16, n_classes=3, seed=4)
+        clouds = [cloud_for(18), cloud_for(19)]
+        for cloud, seed in zip(clouds, (7, 8)):
+            assert np.array_equal(clf.features(cloud, seed).data,
+                                  clf.features_batch([cloud], [seed]).data)
+            assert np.array_equal(clf.logits(cloud, seed).data,
+                                  clf.logits_batch([cloud], [seed]).data)
 
     def test_load_backbone_ignores_decoder_params(self):
         pretrain_model = small_model(seed=7)

@@ -196,6 +196,14 @@ class TestReconstruct:
         assert masked.p == report["visible_points"].shape[0]
         assert recon.p == masked.p + report["predicted_points"].shape[0]
 
+    def test_block_mask_type_used(self, tiny_run, tmp_path):
+        cfg, dataset, ckpt, _ = tiny_run
+        _, report = reconstruct(ckpt, dataset.val[1], 0.5, tmp_path, seed=2,
+                                mask_type="block")
+        assert report["mask"].anchor is not None
+        _, report = reconstruct(ckpt, dataset.val[1], 0.5, tmp_path, seed=2)
+        assert report["mask"].anchor is None
+
     def test_ratio_out_of_range(self, tiny_run, tmp_path):
         cfg, dataset, ckpt, _ = tiny_run
         with pytest.raises(ValueError):
