@@ -2,12 +2,17 @@
 
 A ``Tensor`` wraps a row-major numpy float64 array. Every operation records
 its inputs and a vector-Jacobian closure on the output tensor whenever any
-input requires gradients, building an implicit tape. ``backward`` replays the
-tape in reverse topological order and accumulates gradients into leaf tensors.
+input requires gradients, building an implicit tape. A closure returns one
+gradient per input and may return ``None`` for an input that does not require
+gradients, so it computes only what backward uses. ``backward`` replays the
+tape in reverse topological order, accumulates gradients into leaf tensors, and
+frees each node's closure and inputs as soon as it has been processed.
 
 All results are checked for NaN/Inf at creation; a non-finite value raises
 ``NumericsError`` instead of propagating.
 """
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -339,12 +344,30 @@ def matmul(a, b):
 
 
 def linear(x, weight, bias):
-    """x @ weight + bias; weight is (in, out), bias is (out,)."""
+    """x @ weight + bias; x is (..., in), weight is (in, out), bias is (out,).
+
+    All leading axes of ``x`` are flattened into the rows of one GEMM, so the
+    weight gradient is one GEMM too rather than a per-item sum.
+    """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if weight.ndim != 2 or bias.shape != (weight.shape[1],):
         raise ShapeError(
             f"linear: weight {weight.shape} and bias {bias.shape} are inconsistent")
-    return add(matmul(x, weight), bias)
+    if x.ndim < 2 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
+    n_in, n_out = weight.shape
+    x2 = x.data.reshape(math.prod(x.shape[:-1]), n_in)
+    data = x2 @ weight.data
+    data += bias.data
+
+    def vjp(g):
+        g2 = g.reshape(x2.shape[0], n_out)
+        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if weight.requires_grad else None
+        gb = g2.sum(axis=0) if bias.requires_grad else None
+        return (gx, gw, gb)
+
+    return _result("linear", data.reshape(x.shape[:-1] + (n_out,)), (x, weight, bias), vjp)
 
 
 def sqdist(a, b):
@@ -515,10 +538,11 @@ def backward(loss, store=None):
     """Run reverse-mode differentiation from a scalar loss.
 
     Gradients accumulate into ``.grad`` of every reachable leaf tensor that
-    requires grad. The tape is freed afterwards; a second backward through the
-    same graph raises ``GraphError``. With a ``ParamStore`` passed as
-    ``store``, returns a name -> gradient dict covering every registered
-    parameter (zeros for parameters the loss does not depend on).
+    requires grad. The tape is freed as backward goes; a second backward
+    through the same graph raises ``GraphError``, also after a backward that
+    failed midway. With a ``ParamStore`` passed as ``store``, returns a
+    name -> gradient dict covering every registered parameter (zeros for
+    parameters the loss does not depend on).
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward: loss must be a Tensor")
@@ -535,19 +559,24 @@ def backward(loss, store=None):
         # silently treating a consumed subgraph as a constant leaf
         if node._op != "leaf" and node._vjp is None:
             raise GraphError("backward: graph already consumed")
+    loss._done = True
 
+    # each node is freed as soon as it is processed: all of its consumers come
+    # before it in reverse topological order, so nothing reads its closure again
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    for i in range(len(order) - 1, -1, -1):
+        node, order[i] = order[i], None
         g = grads.pop(id(node), None)
+        vjp, parents = node._vjp, node._parents
+        node._vjp, node._parents = None, ()
         if g is None:
             continue
-        if node._vjp is None:
+        if vjp is None:
             # leaf: accumulate across backward calls
             node.grad = g if node.grad is None else node.grad + g
             continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if not parent.requires_grad:
+        for parent, pg in zip(parents, vjp(g)):
+            if pg is None or not parent.requires_grad:
                 continue
             _check_finite(pg, f"backward({node._op})")
             key = id(parent)
@@ -555,12 +584,6 @@ def backward(loss, store=None):
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-
-    for node in order:
-        if node._vjp is not None:
-            node._vjp = None
-            node._parents = ()
-    loss._done = True
 
     if store is not None:
         return store.gradients()

@@ -7,6 +7,8 @@ CPU) and ``paper`` (the full-scale configuration for users with real data).
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .masking import masked_count
+
 SHAPE_FAMILIES = ("sphere", "cube", "cylinder", "torus", "cone", "plane")
 
 
@@ -21,6 +23,8 @@ class BackboneConfig:
     embed_widths: tuple = (128, 256, 512)  # patch embedder stage widths
 
     def __post_init__(self):
+        if self.dim < 1 or self.heads < 1:
+            raise ValueError(f"dim {self.dim} and heads {self.heads} must be >= 1")
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.encoder_depth < 1 or self.decoder_depth < 1:
@@ -42,6 +46,11 @@ class DataSpec:
 
     def __post_init__(self):
         self.families = tuple(self.families)
+        if not self.families:
+            raise ValueError("families must name at least one shape family")
+        if self.train_per_class < 1 or self.test_per_class < 1:
+            raise ValueError(f"train_per_class {self.train_per_class} and "
+                             f"test_per_class {self.test_per_class} must be >= 1")
 
 
 @dataclass
@@ -67,10 +76,22 @@ class RunConfig:
     def __post_init__(self):
         if self.n_patches > self.points or self.patch_size > self.points:
             raise ValueError("n_patches and patch_size must not exceed points")
+        if self.n_patches < 1 or self.patch_size < 1:
+            raise ValueError("n_patches and patch_size must be >= 1")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise ValueError(f"mask_ratio {self.mask_ratio} outside [0, 1]")
+        if masked_count(self.n_patches, self.mask_ratio) >= self.n_patches:
+            raise ValueError(
+                f"mask_ratio {self.mask_ratio} leaves no visible patch of {self.n_patches}")
         if self.mask_type not in ("random", "block"):
             raise ValueError(f"bad mask_type {self.mask_type!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size {self.batch_size} must be >= 1")
+        if self.lr_max <= 0.0 or self.finetune_lr <= 0.0 or self.lr_min < 0.0:
+            raise ValueError(f"lr_max {self.lr_max} and finetune_lr {self.finetune_lr} "
+                             f"must be positive and lr_min {self.lr_min} non-negative")
+        if self.epochs > 0 and self.warmup_epochs >= self.epochs:
+            raise ValueError("warmup_epochs must be smaller than epochs")
 
     def to_dict(self):
         return asdict(self)

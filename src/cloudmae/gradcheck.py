@@ -77,6 +77,19 @@ def _check_linear(rng):
     return lambda: ad.reduce_sum(ad.linear(x, w_, b) * w), (x, w_, b)
 
 
+def _check_linear_3d(rng):
+    x, w_, b = _t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 5)
+    w = _proj(rng, (2, 3, 5))
+    return lambda: ad.reduce_sum(ad.linear(x, w_, b) * w), (x, w_, b)
+
+
+def _check_linear_const_x(rng):
+    # a constant input (raw point offsets, centers) gets no gradient computed
+    x, w_, b = _proj(rng, (2, 4, 3)), _t(rng, 3, 5), _t(rng, 5)
+    w = _proj(rng, (2, 4, 5))
+    return lambda: ad.reduce_sum(ad.linear(x, w_, b) * w), (w_, b)
+
+
 def _check_reshape(rng):
     a = _t(rng, 4, 6)
     w = _proj(rng, (3, 8))
@@ -180,6 +193,8 @@ OP_CHECKS = {
     "matmul": _check_matmul,
     "matmul_batched": _check_matmul_batched,
     "linear": _check_linear,
+    "linear_3d": _check_linear_3d,
+    "linear_const_x": _check_linear_const_x,
     "reshape": _check_reshape,
     "transpose": _check_transpose,
     "concat": _check_concat,

@@ -116,22 +116,53 @@ def write_container(arrays, meta):
 
 
 def read_container(blob):
-    """Inverse of ``write_container``. Returns (arrays dict, meta dict)."""
+    """Inverse of ``write_container``. Returns (arrays dict, meta dict).
+
+    Anything but exactly one well-formed header followed by its payloads, with
+    no bytes after the last one, raises ``ValueError``.
+    """
     if blob[:4] != _MAGIC:
         raise ValueError("container: bad magic bytes")
-    (hlen,) = struct.unpack("<Q", blob[4:12])
-    header = json.loads(blob[12:12 + hlen].decode("utf-8"))
+    if len(blob) < 12:
+        raise ValueError("container: truncated header length")
+    (hlen,) = struct.unpack_from("<Q", blob, 4)
     offset = 12 + hlen
+    if len(blob) < offset:
+        raise ValueError("container: truncated header")
+    try:
+        header = json.loads(blob[12:offset].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"container: header is not valid JSON ({exc})") from None
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
+    for name, shape in _header_entries(header):
+        n = math.prod(shape)
         raw = blob[offset:offset + 8 * n]
         if len(raw) != 8 * n:
-            raise ValueError(f"container: truncated payload for {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            raise ValueError(f"container: truncated payload for {name!r}")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         offset += 8 * n
+    if offset != len(blob):
+        raise ValueError(f"container: {len(blob) - offset} trailing bytes after the payloads")
     return arrays, header["meta"]
+
+
+def _header_entries(header):
+    """(name, shape) per declared array; a malformed header raises ValueError."""
+    if not (isinstance(header, dict) and isinstance(header.get("arrays"), list)
+            and isinstance(header.get("meta"), dict)):
+        raise ValueError("container: header needs an 'arrays' list and a 'meta' object")
+    entries = {}
+    for entry in header["arrays"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"container: array entry {entry!r} is not an object")
+        name, shape = entry.get("name"), entry.get("shape")
+        if not isinstance(name, str) or not name or name in entries:
+            raise ValueError(f"container: missing, empty or duplicate array name {name!r}")
+        if not (isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"container: bad shape {shape!r} for {name!r}")
+        entries[name] = tuple(shape)
+    return entries.items()
 
 
 class AdamW:

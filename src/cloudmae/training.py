@@ -102,18 +102,25 @@ class Checkpoint:
     @classmethod
     def from_bytes(cls, blob):
         arrays, meta = read_container(blob)
-        params, opt_m, opt_v = {}, {}, {}
+        groups = {"param": {}, "opt_m": {}, "opt_v": {}}
         for k, v in arrays.items():
-            kind, name = k.split("/", 1)
-            {"param": params, "opt_m": opt_m, "opt_v": opt_v}[kind][name] = v
-        return cls(params=params, opt_m=opt_m, opt_v=opt_v, meta=meta)
+            kind, _, name = k.partition("/")
+            if kind not in groups or not name:
+                raise ValueError(f"checkpoint: unexpected array name {k!r}")
+            groups[kind][name] = v
+        return cls(params=groups["param"], opt_m=groups["opt_m"],
+                   opt_v=groups["opt_v"], meta=meta)
 
     def save(self, path):
         Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def load(cls, path):
-        return cls.from_bytes(Path(path).read_bytes())
+        blob = Path(path).read_bytes()
+        try:
+            return cls.from_bytes(blob)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def config(self):
         return RunConfig.from_dict(self.meta["config"])
@@ -146,8 +153,6 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
     steps_per_epoch = max(1, math.ceil(len(train) / config.batch_size))
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.warmup_epochs * steps_per_epoch
-    if total_steps > 0 and warmup_steps >= total_steps:
-        raise ValueError("warmup_epochs must be smaller than epochs")
 
     start_epoch = 0
     global_step = 0

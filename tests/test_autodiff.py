@@ -79,6 +79,51 @@ def test_backward_through_consumed_intermediate_fails():
         backward(ad.reduce_sum(mid * 2.0))
 
 
+def test_linear_matches_broadcast_matmul_on_leading_axes():
+    rng = np.random.default_rng(2)
+    x, w, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
+    out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
+    expected = np.matmul(x, w) + b
+    assert out.shape == (3, 5, 6)
+    assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_linear_computes_no_gradient_for_constant_input():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w, b = Tensor(rng.normal(size=(4, 5)), requires_grad=True), Tensor(np.zeros(5))
+    out = ad.linear(x, w, b)
+    gx, gw, gb = out._vjp(np.ones(out.shape))
+    assert gx is None and gb is None and gw.shape == (4, 5)
+    backward(ad.reduce_sum(out))
+    assert x.grad is None and b.grad is None
+    assert np.allclose(w.grad, x.data.reshape(-1, 4).sum(axis=0)[:, None])
+
+
+def test_backward_frees_each_intermediate():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w, b = Tensor(rng.normal(size=(4, 5)), requires_grad=True), Tensor(np.zeros(5))
+    mid = [ad.linear(x, w, b)]
+    mid.append(ad.gelu(mid[-1]))
+    mid.append(ad.reduce_sum(mid[-1] * mid[0]))
+    backward(mid[-1])
+    for node in mid:
+        assert node._vjp is None and node._parents == ()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_backward_failed_midway_leaves_graph_consumed():
+    x = Tensor([0.0, 4.0], requires_grad=True)
+    scaled = ad.power(x, 0.5) * 3.0
+    loss = ad.reduce_sum(scaled)
+    with np.errstate(divide="ignore"), pytest.raises(NumericsError, match="power"):
+        backward(loss)  # d sqrt(x)/dx is infinite at 0
+    assert scaled._vjp is None and scaled._parents == ()
+    with pytest.raises(GraphError, match="consumed"):
+        backward(loss)
+
+
 def test_nan_result_raises():
     with pytest.raises(NumericsError):
         ad.log(Tensor([-1.0]))
@@ -95,6 +140,10 @@ def test_shape_errors_name_the_op():
         ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
     with pytest.raises(ShapeError, match="layer_norm"):
         ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(Tensor(np.zeros(4)), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
 
 def test_forward_determinism_bit_identical():

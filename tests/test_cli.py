@@ -35,6 +35,13 @@ def test_usage_error_exit_code():
     assert main(["pretrain", "--mask-type", "diagonal"]) == 1
 
 
+def test_malformed_checkpoint_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"CMAE\x05")
+    assert main(["fewshot", "--checkpoint", str(path)]) == 1
+    assert "bad.bin: container: truncated header length" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_file_is_usage_error(tmp_path):
     assert main(["reconstruct", "--checkpoint", str(tmp_path / "nope.bin"),
                  "--out", str(tmp_path)]) == 1

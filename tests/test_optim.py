@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -104,6 +106,44 @@ def test_container_rejects_bad_magic_and_truncation():
         read_container(b"XXXX" + blob[4:])
     with pytest.raises(ValueError, match="truncated"):
         read_container(blob[:-8])
+
+
+def _blob(header, payload=b""):
+    raw = json.dumps(header).encode("utf-8")
+    return b"CMAE" + struct.pack("<Q", len(raw)) + raw + payload
+
+
+ONE = [{"name": "a", "shape": [1]}]
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"CMAE\x01\x00", "truncated header length"),
+    (b"CMAE" + struct.pack("<Q", 99) + b"{}", "truncated header"),
+    (b"CMAE" + struct.pack("<Q", 3) + b"{x}", "not valid JSON"),
+    (b"CMAE" + struct.pack("<Q", 2) + b"\xff\xfe", "not valid JSON"),
+    (_blob({"meta": {}}), "'arrays' list"),
+    (_blob({"arrays": ONE}, bytes(8)), "'meta' object"),
+    (_blob([1, 2]), "'arrays' list"),
+    (_blob({"arrays": [7], "meta": {}}), "not an object"),
+    (_blob({"arrays": [{"shape": [1]}], "meta": {}}, bytes(8)), "array name None"),
+    (_blob({"arrays": [{"name": "", "shape": [1]}], "meta": {}}, bytes(8)), "array name ''"),
+    (_blob({"arrays": ONE * 2, "meta": {}}, bytes(16)), "duplicate"),
+    (_blob({"arrays": [{"name": "a", "shape": [-1]}], "meta": {}}), "bad shape"),
+    (_blob({"arrays": [{"name": "a", "shape": [1.5]}], "meta": {}}), "bad shape"),
+    (_blob({"arrays": [{"name": "a"}], "meta": {}}), "bad shape"),
+    (_blob({"arrays": ONE, "meta": {}}, bytes(9)), "1 trailing bytes"),
+], ids=["short", "header_past_end", "bad_json", "bad_utf8", "no_arrays", "no_meta",
+        "not_object", "entry_not_object", "no_name", "empty_name", "duplicate_name",
+        "negative_dim", "float_dim", "no_shape", "trailing_bytes"])
+def test_container_rejects_malformed_blob(blob, message):
+    with pytest.raises(ValueError, match=message):
+        read_container(blob)
+
+
+def test_container_reads_exact_hand_built_blob():
+    arrays, meta = read_container(_blob({"arrays": ONE, "meta": {"k": 1}},
+                                        struct.pack("<d", 2.5)))
+    assert meta == {"k": 1} and arrays["a"].tolist() == [2.5]
 
 
 def test_duplicate_parameter_name_rejected():

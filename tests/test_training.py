@@ -8,6 +8,7 @@ from cloudmae.config import RunConfig, desk_preset
 from cloudmae.data import build_dataset, gen_synthetic, load_points, SyntheticSpec
 from cloudmae.geometry import PointCloud
 from cloudmae.model import MaskedAutoencoder
+from cloudmae.params import write_container
 from cloudmae.seeding import derive_seed
 from cloudmae.training import (Checkpoint, Metrics, TrainingAbort, ablate_mask,
                                evaluate_classifier, fewshot_eval,
@@ -93,6 +94,15 @@ class TestCheckpoint:
         for name in ckpt.params:
             assert ckpt.params[name].tobytes() == loaded.params[name].tobytes()
             assert ckpt.opt_m[name].tobytes() == loaded.opt_m[name].tobytes()
+
+    def test_load_names_file_of_malformed_checkpoint(self, tiny_run, tmp_path):
+        _, _, ckpt, _ = tiny_run
+        path = tmp_path / "trailing.bin"
+        path.write_bytes(ckpt.to_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing.bin: container: 1 trailing bytes"):
+            Checkpoint.load(path)
+        with pytest.raises(ValueError, match="unexpected array name 'grad/w'"):
+            Checkpoint.from_bytes(write_container({"grad/w": np.zeros(2)}, {}))
 
     def test_build_model_restores_weights(self, tiny_run):
         _, _, ckpt, _ = tiny_run
