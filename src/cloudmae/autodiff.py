@@ -6,7 +6,9 @@ input requires gradients, building an implicit tape. A closure returns one
 gradient per input and may return ``None`` for an input that does not require
 gradients, so it computes only what backward uses. ``backward`` replays the
 tape in reverse topological order, accumulates gradients into leaf tensors, and
-frees each node's closure and inputs as soon as it has been processed.
+frees each node's closure and inputs as soon as it has been processed. Work
+only backward needs, such as the arg index of ``reduce_max``/``reduce_min``,
+is done inside the closure, so a forward-only pass never pays for it.
 
 All results are checked for NaN/Inf at creation; a non-finite value raises
 ``NumericsError`` instead of propagating.
@@ -420,25 +422,20 @@ def reduce_mean(a, axis=None):
 
 
 def _reduce_extreme(op, a, axis, arg_fn, np_fn):
+    # the arg index is computed in the vjp, so a forward-only pass never pays for it
     a = _as_tensor(a)
     if a.size == 0:
         raise ShapeError(f"{op}: empty input")
     data = np_fn(a.data, axis=axis)
-    shape = a.shape
-    if axis is None:
-        flat_idx = arg_fn(a.data)
 
-        def vjp(g):
-            ga = np.zeros(a.size)
-            ga[flat_idx] = g
-            return (ga.reshape(shape),)
-    else:
-        idx = np.expand_dims(arg_fn(a.data, axis=axis), axis)
-
-        def vjp(g):
-            ga = np.zeros(shape)
+    def vjp(g):
+        ga = np.zeros(a.shape)
+        if axis is None:
+            ga.reshape(-1)[arg_fn(a.data)] = g
+        else:
+            idx = np.expand_dims(arg_fn(a.data, axis=axis), axis)
             np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis=axis)
-            return (ga,)
+        return (ga,)
 
     return _result(op, data, (a,), vjp, check=False)
 

@@ -17,6 +17,12 @@ class PatchEmbedder:
     Per point: 3 -> w1 -> w2; the w2-wide patch max is concatenated back onto
     every point feature (2*w2) and refined 2*w2 -> w3 -> dim; a final max
     pool yields one token per patch. Default widths (128, 256, 512).
+
+    The concatenation is never built. With W3 = [W3_pool; W3_point] split by
+    rows, concat([tile(pool), h]) @ W3 + b3 = h @ W3_point + (pool @ W3_pool
+    + b3), so the pooled term is one (v, w3) GEMM broadcast over the k points
+    and the point term halves the stage-2 GEMM. W3 stays one (2*w2, w3)
+    parameter, so parameter names and the checkpoint layout are unchanged.
     """
 
     def __init__(self, store, dim, prefix="embed", widths=(128, 256, 512)):
@@ -42,15 +48,13 @@ class PatchEmbedder:
         w2 = self.local_dim
         h = ad.reshape(x, (v * k, 3))
         h = ad.gelu(ad.linear(h, self.w1, self.b1))
-        h = ad.linear(h, self.w2, self.b2)
-        h = ad.reshape(h, (v, k, w2))
-        pooled = ad.reduce_max(h, axis=1)                       # v x w2
-        tiled = ad.broadcast_to(ad.reshape(pooled, (v, 1, w2)), (v, k, w2))
-        h = ad.concat([tiled, h], axis=2)                       # v x k x 2*w2
-        h = ad.reshape(h, (v * k, 2 * w2))
-        h = ad.gelu(ad.linear(h, self.w3, self.b3))
-        h = ad.linear(h, self.w4, self.b4)
-        h = ad.reshape(h, (v, k, self.dim))
+        h = ad.linear(h, self.w2, self.b2)                      # v*k x w2
+        pooled = ad.reduce_max(ad.reshape(h, (v, k, w2)), axis=1)  # v x w2
+        w3_pool = ad.gather(self.w3, np.arange(w2))
+        w3_point = ad.gather(self.w3, np.arange(w2, 2 * w2))
+        g = ad.reshape(ad.linear(pooled, w3_pool, self.b3), (v, 1, -1))
+        h = ad.reshape(ad.matmul(h, w3_point), (v, k, -1)) + g  # v x k x w3
+        h = ad.linear(ad.gelu(h), self.w4, self.b4)
         return ad.reduce_max(h, axis=1)                         # v x dim
 
 

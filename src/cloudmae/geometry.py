@@ -3,6 +3,10 @@
 Everything works on squared Euclidean distances (no square roots) and is
 brute-force by design; at a few thousand points this is fast and keeps the
 kernels trivially comparable against exhaustive oracles.
+
+Patchify has one implementation, over a leading batch axis:
+``farthest_point_sampling``, ``knn`` and ``build_patches`` take a batch of
+clouds, and one ``PointCloud`` runs as a batch of one.
 """
 
 from dataclasses import dataclass
@@ -39,88 +43,140 @@ class PatchSet:
     """n patches of k center-normalized points plus their provenance.
 
     patches[i][j] == source.points[point_indices[i][j]] - centers[i]; every
-    center is itself a source point. Patches may share points.
+    center is itself a source point. Patches may share points. A batched set
+    carries a leading batch axis on every array.
     """
 
-    centers: np.ndarray        # n x 3
-    patches: np.ndarray        # n x k x 3, offsets from center
-    point_indices: np.ndarray  # n x k into the source cloud
-    center_indices: np.ndarray # n into the source cloud
+    centers: np.ndarray        # [B x] n x 3
+    patches: np.ndarray        # [B x] n x k x 3, offsets from center
+    point_indices: np.ndarray  # [B x] n x k into the source cloud
+    center_indices: np.ndarray # [B x] n into the source cloud
 
     @property
     def n(self):
-        return self.centers.shape[0]
+        return self.centers.shape[-2]
 
     @property
     def k(self):
-        return self.patches.shape[1]
+        return self.patches.shape[-2]
 
     def absolute_patches(self):
         """Patches back in source coordinates: offsets + centers."""
-        return self.patches + self.centers[:, None, :]
+        return self.patches + self.centers[..., None, :]
+
+    def unstack(self):
+        """Per-instance patch sets (views) of a batched set."""
+        return [PatchSet(*arrays) for arrays in zip(*vars(self).values())]
 
 
 def pairwise_sqdist(a, b):
-    """Plain-numpy squared distance matrix between (p,3) and (q,3) arrays."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    """Plain-numpy squared distances between (..., m, 3) and (..., q, 3) arrays.
+
+    Returns (..., m, q). The sum runs per coordinate plane, dx*dx + dy*dy +
+    dz*dz in that order, which gives the same bits as
+    ``np.sum(diff * diff, axis=-1)`` without the (..., m, q, 3) difference array.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return _plane_sqdist(_planes(a)[..., :, None], _planes(b)[..., None, :])
+
+
+def _planes(x):
+    """(..., 3) coordinates as three contiguous (...) coordinate planes."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def _plane_sqdist(a, b):
+    d = a[0] - b[0]
+    d *= d
+    for c in range(1, a.shape[0]):
+        t = a[c] - b[c]
+        t *= t
+        d += t
+    return d
 
 
 def farthest_point_sampling(cloud, n, seed=0, first_index=None):
     """Greedy max-min sampling of ``n`` center indices.
 
-    The first index is drawn uniformly from the seeded generator (or forced
-    via ``first_index``); every subsequent pick maximizes the minimum squared
-    distance to all previously selected points, ties broken by lowest index.
+    ``cloud`` is one PointCloud, giving (n,) indices, or a (B, p, 3) array of
+    B equal-size clouds, giving (B, n); for a batch, ``seed`` and
+    ``first_index`` hold one entry per cloud. The first index is drawn
+    uniformly from the seeded generator (or forced via ``first_index``);
+    every later pick maximizes the minimum squared distance to the points
+    already chosen in its cloud, ties broken by lowest index. All clouds
+    advance together over one (B, p) min-distance array.
     """
-    pts = cloud.points
-    p = pts.shape[0]
+    single = isinstance(cloud, PointCloud)
+    points = cloud.points[None] if single else np.asarray(cloud, dtype=np.float64)
+    if points.ndim != 3 or points.shape[-1] != 3:
+        raise ValueError(f"fps: need a PointCloud or a (B, p, 3) array, got {points.shape}")
+    b, p, _ = points.shape
     if not 1 <= n <= p:
         raise ValueError(f"fps: need 1 <= n <= p, got n={n}, p={p}")
     if first_index is None:
-        first = int(np.random.default_rng(seed).integers(p))
+        first = [int(np.random.default_rng(s).integers(p)) for s in ([seed] if single else seed)]
     else:
-        first = int(first_index)
-        if not 0 <= first < p:
-            raise ValueError(f"fps: first_index {first} outside [0, {p})")
-    chosen = np.empty(n, dtype=np.intp)
-    chosen[0] = first
-    min_d = np.sum((pts - pts[first]) ** 2, axis=1)
+        first = [first_index] if single else first_index
+    first = np.asarray(first, dtype=np.intp)
+    if first.shape != (b,) or np.any((first < 0) | (first >= p)):
+        raise ValueError(f"fps: first indices {first.tolist()} outside [0, {p}) "
+                         f"or not one per cloud")
+    planes = _planes(points)                     # 3 x B x p
+    rows = np.arange(b)
+    chosen = np.empty((b, n), dtype=np.intp)
+    chosen[:, 0] = first
+    min_d = _plane_sqdist(planes, planes[:, rows, first, None])
     for i in range(1, n):
-        nxt = int(np.argmax(min_d))  # argmax takes the lowest index on ties
-        chosen[i] = nxt
-        d = np.sum((pts - pts[nxt]) ** 2, axis=1)
-        min_d = np.minimum(min_d, d)
-    return chosen
+        nxt = np.argmax(min_d, axis=1)           # argmax takes the lowest index on ties
+        chosen[:, i] = nxt
+        if i + 1 < n:
+            np.minimum(min_d, _plane_sqdist(planes, planes[:, rows, nxt, None]), out=min_d)
+    return chosen[0] if single else chosen
 
 
 def knn(cloud, centers, k):
     """Indices of the k nearest source points per center.
 
-    Rows are sorted by ascending squared distance, ties broken by lowest
-    index; a center that coincides with a source point includes that point at
-    distance zero.
+    ``cloud`` is one PointCloud with (n, 3) centers, giving (n, k), or a
+    (B, p, 3) array of B clouds with (B, n, 3) centers, giving (B, n, k).
+    One stable argsort over the squared distances sorts each row ascending,
+    ties broken by lowest index; a center that coincides with a source point
+    includes that point at distance zero.
     """
-    pts = cloud.points
-    if k > pts.shape[0]:
-        raise ValueError(f"knn: k={k} exceeds cloud size {pts.shape[0]}")
-    d = pairwise_sqdist(np.asarray(centers, dtype=np.float64), pts)
-    order = np.argsort(d, axis=1, kind="stable")
-    return order[:, :k].astype(np.intp)
+    points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
+    if k > points.shape[-2]:
+        raise ValueError(f"knn: k={k} exceeds cloud size {points.shape[-2]}")
+    d = pairwise_sqdist(centers, points)
+    return np.argsort(d, axis=-1, kind="stable")[..., :k].astype(np.intp)
 
 
 def build_patches(cloud, n, k, seed=0):
-    """FPS centers, KNN grouping, then center-normalization of each patch."""
-    center_idx = farthest_point_sampling(cloud, n, seed=seed)
-    centers = cloud.points[center_idx]
-    point_idx = knn(cloud, centers, k)
-    patches = cloud.points[point_idx] - centers[:, None, :]
-    return PatchSet(
-        centers=centers,
-        patches=patches,
-        point_indices=point_idx,
-        center_indices=center_idx,
-    )
+    """FPS centers, KNN grouping, then center-normalization of each patch.
+
+    ``cloud`` is one PointCloud, giving one ``PatchSet``, or a sequence of
+    clouds with a sequence of seeds, one per cloud, giving a ``PatchSet``
+    with a leading batch axis. Equal-size clouds share one FPS and one KNN
+    call; clouds of different sizes take one call each and are stacked.
+    """
+    if isinstance(cloud, PointCloud):
+        return _patch_batch(cloud.points[None], n, k, [seed]).unstack()[0]
+    clouds, seeds = list(cloud), list(seed)
+    if len({c.p for c in clouds}) == 1:
+        return _patch_batch(np.stack([c.points for c in clouds]), n, k, seeds)
+    parts = [_patch_batch(c.points[None], n, k, [s]) for c, s in zip(clouds, seeds)]
+    return PatchSet(*map(np.concatenate, zip(*(vars(ps).values() for ps in parts))))
+
+
+def _patch_batch(points, n, k, seeds):
+    """Batched ``PatchSet`` of the (B, p, 3) clouds ``points``."""
+    center_idx = farthest_point_sampling(points, n, seed=seeds)
+    rows = np.arange(points.shape[0])[:, None]
+    centers = points[rows, center_idx]
+    point_idx = knn(points, centers, k)
+    patches = points[rows[..., None], point_idx] - centers[:, :, None, :]
+    return PatchSet(centers=centers, patches=patches, point_indices=point_idx,
+                    center_indices=center_idx)
 
 
 def chamfer_l2(pred, gt):

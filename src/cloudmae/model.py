@@ -8,10 +8,11 @@ input instead (the decoder is then skipped), which leaks patch locations to
 the encoder early.
 
 Every forward pass is batch-first: ``pretrain_forward_batch`` and
-``PointCloudClassifier.features_batch`` run a leading batch axis through one
-encoder stack and one decoder stack. The per-instance methods
-(``pretrain_forward``, ``encode``, ``decode``, ``features``, ``logits``) are
-thin wrappers that run a batch of one.
+``PointCloudClassifier.features_batch`` patchify the whole batch in one
+``build_patches`` call and run a leading batch axis through one encoder stack
+and one decoder stack. The per-instance methods (``pretrain_forward``,
+``encode``, ``decode``, ``features``, ``logits``) are thin wrappers that run a
+batch of one.
 """
 
 import math
@@ -226,14 +227,13 @@ class MaskedAutoencoder:
         training. Returns (loss, diagnostics) with per-instance patch sets
         and masks and (B, mn, k, 3) predicted and target patches.
         """
-        patchsets, masks, vis, gt, vis_c, all_c = [], [], [], [], [], []
-        for cloud, seed in zip(clouds, seeds):
-            patchset = build_patches(cloud, n_patches, self.patch_size,
-                                     seed=derive_seed(seed, "patches"))
+        patchsets = build_patches(clouds, n_patches, self.patch_size,
+                                  [derive_seed(s, "patches") for s in seeds]).unstack()
+        masks, vis, gt, vis_c, all_c = [], [], [], [], []
+        for patchset, seed in zip(patchsets, seeds):
             spec = make_mask(mask_type, patchset.n, patchset.centers, ratio,
                              derive_seed(seed, "mask"))
             (vis_p, vc), (gt_p, gc) = split_patches(patchset, spec)
-            patchsets.append(patchset)
             masks.append(spec)
             vis.append(vis_p)
             gt.append(gt_p)
@@ -282,11 +282,9 @@ class PointCloudClassifier:
 
     def features_batch(self, clouds, seeds):
         """(B, 2*dim) pooled encoder features; all patches visible."""
-        sets = [build_patches(cloud, self.n_patches, self.backbone.patch_size,
-                              seed=derive_seed(seed, "patches"))
-                for cloud, seed in zip(clouds, seeds)]
-        tokens = self.backbone.embed_batch(np.stack([ps.patches for ps in sets]))
-        x = self.backbone.encoder_stack(tokens, np.stack([ps.centers for ps in sets]))
+        ps = build_patches(clouds, self.n_patches, self.backbone.patch_size,
+                           [derive_seed(s, "patches") for s in seeds])
+        x = self.backbone.encoder_stack(self.backbone.embed_batch(ps.patches), ps.centers)
         return ad.concat([ad.reduce_max(x, axis=1), ad.reduce_mean(x, axis=1)], axis=1)
 
     def features(self, cloud, seed):

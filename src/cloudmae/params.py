@@ -27,16 +27,35 @@ def truncated_normal(rng, shape, std=0.02):
 
 
 class ParamStore:
-    """Named trainable tensors with deterministic, seeded initialization."""
+    """Named trainable tensors with deterministic, seeded initialization.
+
+    A store made by ``from_arrays`` takes every parameter from its arrays
+    instead and draws nothing.
+    """
 
     def __init__(self, seed=0):
         self._params = {}
         self._rng = np.random.default_rng(seed)
+        self._arrays = None
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        """A store whose ``add`` takes each parameter from ``arrays`` by name.
+
+        A model built on it holds the same values as one built on a seeded
+        store and then given ``load_arrays(arrays)``, without the RNG draws;
+        a registered name missing from ``arrays`` raises ``KeyError``.
+        """
+        store = cls.__new__(cls)
+        store._params, store._rng, store._arrays = {}, None, arrays
+        return store
 
     def add(self, name, shape, init="trunc_normal", std=0.02):
         if name in self._params:
             raise KeyError(f"parameter {name!r} already registered")
-        if isinstance(init, np.ndarray):
+        if self._arrays is not None:
+            data = _loaded(self._arrays, name, tuple(shape))
+        elif isinstance(init, np.ndarray):
             if init.shape != tuple(shape):
                 raise ShapeError(f"init array {init.shape} != declared {tuple(shape)}")
             data = init.astype(np.float64)
@@ -86,12 +105,7 @@ class ParamStore:
 
     def load_arrays(self, arrays):
         for name, t in self._params.items():
-            if name not in arrays:
-                raise KeyError(f"missing parameter {name!r} in loaded arrays")
-            if arrays[name].shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: loaded shape {arrays[name].shape} != {t.data.shape}")
-            t.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
+            t.data = _loaded(arrays, name, t.data.shape)
 
     def to_bytes(self, meta=None):
         return write_container(self.state_arrays(), meta or {})
@@ -100,6 +114,15 @@ class ParamStore:
         arrays, meta = read_container(blob)
         self.load_arrays(arrays)
         return meta
+
+
+def _loaded(arrays, name, shape):
+    """``arrays[name]`` as a contiguous float64 array of the registered shape."""
+    if name not in arrays:
+        raise KeyError(f"missing parameter {name!r} in loaded arrays")
+    if arrays[name].shape != shape:
+        raise ShapeError(f"parameter {name!r}: loaded shape {arrays[name].shape} != {shape}")
+    return np.ascontiguousarray(arrays[name], dtype=np.float64)
 
 
 def write_container(arrays, meta):

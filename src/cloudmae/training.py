@@ -7,7 +7,6 @@ all draw from seeds derived per (epoch, item), so resuming from a checkpoint
 replays the identical stream.
 """
 
-import copy
 import json
 import math
 import time
@@ -61,6 +60,9 @@ class Metrics:
         return self.records[-1][key]
 
 
+_CHECKPOINT_META = ("config", "epoch", "global_step", "opt_step_count")
+
+
 @dataclass
 class Checkpoint:
     """Model parameters, optimizer moments, config, and progress counters."""
@@ -108,6 +110,9 @@ class Checkpoint:
             if kind not in groups or not name:
                 raise ValueError(f"checkpoint: unexpected array name {k!r}")
             groups[kind][name] = v
+        missing = [key for key in _CHECKPOINT_META if key not in meta]
+        if missing:
+            raise ValueError(f"checkpoint: meta lacks {', '.join(map(repr, missing))}")
         return cls(params=groups["param"], opt_m=groups["opt_m"],
                    opt_v=groups["opt_v"], meta=meta)
 
@@ -126,11 +131,10 @@ class Checkpoint:
         return RunConfig.from_dict(self.meta["config"])
 
     def build_model(self):
+        """The pretrained model, its parameters taken from the checkpoint without RNG draws."""
         cfg = self.config()
-        model = MaskedAutoencoder(cfg.model, cfg.patch_size,
-                                  seed=derive_seed(cfg.seed, "init"))
-        model.store.load_arrays(self.params)
-        return model
+        return MaskedAutoencoder(cfg.model, cfg.patch_size,
+                                 store=ParamStore.from_arrays(self.params))
 
 
 def pretrain(config: RunConfig, resume: Checkpoint | None = None,
@@ -392,13 +396,10 @@ def ablate_mask(config: RunConfig, types=("random",), ratios=(0.4, 0.6, 0.8),
     cells = [(t, r, "decoder") for t in types for r in ratios]
     if encoder_cell:
         cells.append(("random", config.mask_ratio, "encoder"))
+    # every cell's config is built, and so validated, before the first cell trains
+    configs = [_cell_config(config, ci, *cell) for ci, cell in enumerate(cells)]
     rows = []
-    for ci, (mask_type, ratio, placement) in enumerate(cells):
-        cell_cfg = copy.deepcopy(config)
-        cell_cfg.mask_type = mask_type
-        cell_cfg.mask_ratio = float(ratio)
-        cell_cfg.model.mask_token_placement = placement
-        cell_cfg.seed = derive_seed(config.seed, "ablate", ci)
+    for (mask_type, ratio, placement), cell_cfg in zip(cells, configs):
         ckpt, metrics = pretrain(cell_cfg, quiet=quiet)
         dataset = build_dataset(cell_cfg.data, cell_cfg.points,
                                 derive_seed(cell_cfg.seed, "dataset"))
@@ -413,6 +414,17 @@ def ablate_mask(config: RunConfig, types=("random",), ratios=(0.4, 0.6, 0.8),
         if not quiet:
             print(format_ablation_table(rows[-1:]))
     return rows
+
+
+def _cell_config(config, ci, mask_type, ratio, placement):
+    d = config.to_dict()
+    d.update(mask_type=mask_type, mask_ratio=float(ratio),
+             seed=derive_seed(config.seed, "ablate", ci))
+    d["model"]["mask_token_placement"] = placement
+    try:
+        return RunConfig.from_dict(d)
+    except ValueError as exc:
+        raise ValueError(f"ablation cell {mask_type}/{ratio}/{placement}: {exc}") from None
 
 
 def format_ablation_table(rows):

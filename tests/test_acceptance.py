@@ -166,6 +166,7 @@ def test_criterion_5_shape_chain_at_paper_config():
               "-> H 38x384 -> predictions 38x32x3")
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_pretraining(desk_cfg, desk_run):
     ckpt, metrics, runtime, _ = desk_run
     assert runtime < 600.0, f"pretraining took {runtime:.0f}s"
@@ -181,6 +182,7 @@ def test_criterion_6_desk_pretraining(desk_cfg, desk_run):
               f"(ratio {final / first:.2f}); re-run bit-identical")
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_directions():
     ratios = (0.4, 0.6, 0.8)
     mono_wins, leak_wins = 0, 0

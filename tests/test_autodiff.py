@@ -163,6 +163,25 @@ def test_reduce_max_routes_gradient_to_first_argmax():
     assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
+@pytest.mark.parametrize("op, ties, want", [
+    (ad.reduce_max, [[1.0, 3.0, 3.0], [5.0, 5.0, 0.0]], [[0, 1, 0], [1, 0, 0]]),
+    (ad.reduce_min, [[2.0, 1.0, 1.0], [0.0, 4.0, 0.0]], [[0, 1, 0], [1, 0, 0]]),
+])
+def test_reduce_extreme_ties_route_to_lowest_index(op, ties, want):
+    x = Tensor(ties, requires_grad=True)
+    backward(ad.reduce_sum(op(x, axis=1)))
+    assert np.array_equal(x.grad, want)
+    x.zero_grad()
+    backward(op(x))  # whole array: the extreme ties at flat indices 3 and 5
+    assert np.array_equal(x.grad.reshape(-1), np.eye(6)[3])
+
+
+def test_gather_negative_index_aliasing_accumulates():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    backward(ad.reduce_sum(ad.gather(x, [-1, 2, 0], axis=0)))
+    assert np.array_equal(x.grad, [[1, 1], [0, 0], [2, 2]])
+
+
 def test_gather_accumulates_duplicate_indices():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     out = ad.gather(x, [1, 1, 2], axis=0)

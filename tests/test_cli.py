@@ -7,6 +7,7 @@ from cloudmae import cli
 from cloudmae.cli import main
 from cloudmae.config import RunConfig, desk_preset
 from cloudmae.data import load_points
+from cloudmae.params import write_container
 from cloudmae.training import pretrain, reconstruct
 
 
@@ -40,6 +41,13 @@ def test_malformed_checkpoint_exits_1(tmp_path, capsys):
     path.write_bytes(b"CMAE\x05")
     assert main(["fewshot", "--checkpoint", str(path)]) == 1
     assert "bad.bin: container: truncated header length" in capsys.readouterr().err
+
+
+def test_checkpoint_without_meta_exits_1(tmp_path, capsys):
+    path = tmp_path / "bare.bin"
+    path.write_bytes(write_container({}, {}))
+    assert main(["reconstruct", "--checkpoint", str(path), "--out", str(tmp_path)]) == 1
+    assert "bare.bin: checkpoint: meta lacks 'config'" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_file_is_usage_error(tmp_path):
@@ -118,3 +126,12 @@ def test_ablate_mask_tiny_grid(tmp_path, tiny_config_file, capsys):
     assert "loss(x1000)" in out
     rows = json.loads((tmp_path / "abl" / "ablation.json").read_text())
     assert len(rows) == 1 and rows[0]["ratio"] == 0.5
+
+
+def test_ablate_mask_invalid_ratio_exits_1(tmp_path, tiny_config_file, capsys):
+    rc = main(["ablate-mask", "--config", str(tiny_config_file),
+               "--ratios", "0.5,1.0", "--types", "random", "--no-encoder-cell",
+               "--out", str(tmp_path / "abl")])
+    assert rc == 1
+    assert "mask_ratio 1.0 leaves no visible patch" in capsys.readouterr().err
+    assert not (tmp_path / "abl" / "ablation.json").exists()

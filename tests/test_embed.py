@@ -47,6 +47,35 @@ def test_non_finite_patch_rejected(store):
         embed(Tensor(bad))
 
 
+def concat_form(embed, patches):
+    """The embedder as written in the paper: the pooled feature tiled and concatenated."""
+    x = Tensor(patches)
+    v, k, _ = x.shape
+    w2 = embed.local_dim
+    h = ad.gelu(ad.linear(ad.reshape(x, (v * k, 3)), embed.w1, embed.b1))
+    h = ad.reshape(ad.linear(h, embed.w2, embed.b2), (v, k, w2))
+    tiled = ad.broadcast_to(ad.reshape(ad.reduce_max(h, axis=1), (v, 1, w2)), (v, k, w2))
+    h = ad.gelu(ad.linear(ad.concat([tiled, h], axis=2), embed.w3, embed.b3))
+    return ad.reduce_max(ad.linear(h, embed.w4, embed.b4), axis=1)
+
+
+def test_split_stage2_matches_concat_form(store):
+    embed = PatchEmbedder(store, dim=32, widths=(16, 32, 64))
+    rng = np.random.default_rng(4)
+    for t in store.tensors():  # non-zero biases, so where b3 is added matters
+        t.data = t.data + rng.normal(0.0, 0.02, size=t.data.shape)
+    patches = rng.normal(size=(6, 10, 3))
+    proj = rng.normal(size=(6, 32))
+    results = []
+    for fn in (embed, lambda p: concat_form(embed, p)):
+        store.zero_grad()
+        out = fn(patches)
+        backward(ad.reduce_sum(out * proj))
+        results.append([out.data] + [t.grad for t in store.tensors()])
+    for split, concat in zip(*results):
+        assert np.abs(split - concat).max() <= 1e-12 * np.abs(concat).max()
+
+
 class TestPositionalMLP:
     def test_same_center_same_embedding(self, store):
         pe = PositionalMLP(store, dim=24, prefix="pe")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudmae.autodiff import Tensor, backward, gradient_check
 from cloudmae.geometry import (PatchSet, PointCloud, batch_chamfer,
@@ -140,6 +142,77 @@ class TestPatches:
         recovered = ps.absolute_patches().reshape(-1, 3)
         d = pairwise_sqdist(recovered, cloud.points)
         assert np.all(d.min(axis=1) < 1e-24)
+
+
+def patchify_loop_oracle(points, n, k, first):
+    """One cloud at a time: FPS, then a stable sort of each center's distances."""
+    min_d = np.sum((points - points[first]) ** 2, axis=1)
+    chosen = [first]
+    for _ in range(n - 1):
+        chosen.append(int(np.argmax(min_d)))
+        min_d = np.minimum(min_d, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
+    centers = points[chosen]
+    d = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return np.array(chosen), idx, points[idx] - centers[:, None, :]
+
+
+class TestBatchedPatchify:
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 4), p=st.integers(1, 40), data=st.data(),
+           quantized=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_cloud_loop_oracle(self, b, p, data, quantized, seed):
+        n = data.draw(st.integers(1, p), label="n")
+        k = data.draw(st.integers(1, p), label="k")
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(b, p, 3))
+        if quantized:  # coarse grid: equal distances, duplicate points
+            points = np.round(points * 2.0) / 2.0
+        clouds = [PointCloud(points=pts) for pts in points]
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=b)]
+        firsts = [int(np.random.default_rng(s).integers(p)) for s in seeds]
+
+        got = build_patches(clouds, n, k, seeds)
+        fps = farthest_point_sampling(points, n, first_index=firsts)
+        assert np.array_equal(farthest_point_sampling(points, n, seed=seeds), fps)
+        near = knn(points, points[np.arange(b)[:, None], fps], k)
+        for i in range(b):
+            chosen, idx, patches = patchify_loop_oracle(points[i], n, k, firsts[i])
+            assert np.array_equal(fps[i], chosen)
+            assert np.array_equal(near[i], idx)
+            assert np.array_equal(got.center_indices[i], chosen)
+            assert np.array_equal(got.point_indices[i], idx)
+            assert np.array_equal(got.patches[i], patches)
+            assert np.array_equal(got.centers[i], points[i][chosen])
+
+    def test_one_cloud_is_a_batch_of_one(self):
+        rng = np.random.default_rng(21)
+        clouds = [random_cloud(rng, 50) for _ in range(3)]
+        batch = build_patches(clouds, 6, 5, [7, 8, 9]).unstack()
+        for cloud, seed, ps in zip(clouds, (7, 8, 9), batch):
+            single = build_patches(cloud, 6, 5, seed=seed)
+            for field in ("centers", "patches", "point_indices", "center_indices"):
+                assert np.array_equal(getattr(single, field), getattr(ps, field))
+
+    def test_clouds_of_different_sizes_stack(self):
+        rng = np.random.default_rng(22)
+        clouds = [random_cloud(rng, 30), random_cloud(rng, 45)]
+        batch = build_patches(clouds, 4, 6, [1, 2])
+        assert batch.patches.shape == (2, 4, 6, 3) and batch.n == 4 and batch.k == 6
+        for cloud, seed, ps in zip(clouds, (1, 2), batch.unstack()):
+            assert np.array_equal(build_patches(cloud, 4, 6, seed=seed).patches, ps.patches)
+
+    def test_plane_sums_match_axis_sum_bits(self):
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(2, 7, 3)), rng.normal(size=(2, 9, 3))
+        diff = a[:, :, None, :] - b[:, None, :, :]
+        assert pairwise_sqdist(a, b).tobytes() == np.sum(diff * diff, axis=-1).tobytes()
+
+    def test_first_index_out_of_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            farthest_point_sampling(np.zeros((2, 5, 3)), 2, first_index=[0, 5])
+        with pytest.raises(ValueError, match="one per cloud"):
+            farthest_point_sampling(np.zeros((2, 5, 3)), 2, first_index=[0])
 
 
 def chamfer_loop_oracle(a, b):

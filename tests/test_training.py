@@ -110,6 +110,39 @@ class TestCheckpoint:
         for name, value in model.store.state_arrays().items():
             assert np.array_equal(value, ckpt.params[name])
 
+    def test_build_model_matches_build_then_load_without_draws(self, tiny_run, monkeypatch):
+        cfg, _, ckpt, _ = tiny_run
+        old = MaskedAutoencoder(cfg.model, cfg.patch_size, seed=derive_seed(cfg.seed, "init"))
+        old.store.load_arrays(ckpt.params)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("build_model drew an initial value")
+
+        monkeypatch.setattr("cloudmae.params.truncated_normal", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        new = ckpt.build_model()
+        assert new.store.names() == old.store.names()
+        for name, value in new.store.state_arrays().items():
+            assert value.tobytes() == old.store[name].data.tobytes()
+
+    def test_build_model_missing_parameter_raises(self, tiny_run):
+        _, _, ckpt, _ = tiny_run
+        params = dict(ckpt.params)
+        del params["head.w"]
+        partial = Checkpoint(params=params, opt_m={}, opt_v={}, meta=ckpt.meta)
+        with pytest.raises(KeyError, match="head.w"):
+            partial.build_model()
+
+    def test_meta_without_counters_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="meta lacks 'config', 'epoch', "
+                                             "'global_step', 'opt_step_count'"):
+            Checkpoint.from_bytes(write_container({}, {}))
+        path = tmp_path / "bare.bin"
+        path.write_bytes(write_container({}, {"config": {}, "epoch": 0}))
+        with pytest.raises(ValueError, match="bare.bin: checkpoint: meta lacks "
+                                             "'global_step', 'opt_step_count'"):
+            Checkpoint.load(path)
+
 
 class TestMetrics:
     def test_epochs_strictly_increasing(self):
@@ -241,6 +274,16 @@ class TestAblate:
         direct_cfg.seed = derive_seed(cfg.seed, "ablate", 0)
         _, metrics = pretrain(direct_cfg)
         assert cell["loss_x1000"] == metrics.final("loss_x1000")
+
+    def test_invalid_cell_rejected_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained before the grid was validated")
+
+        monkeypatch.setattr("cloudmae.training.pretrain", no_training)
+        with pytest.raises(ValueError, match="ratio 1.0 leaves no visible patch"):
+            ablate_mask(tiny_config(), ratios=(0.5, 1.0), encoder_cell=False)
+        with pytest.raises(ValueError, match="bad mask_type 'diagonal'"):
+            ablate_mask(tiny_config(), types=("random", "diagonal"), ratios=(0.5,))
 
     def test_grid_includes_encoder_cell(self):
         cfg = tiny_config(epochs=1, warmup_epochs=0)
