@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from . import autodiff
 from .autodiff import (GraphError, NumericsError, ShapeError, Tensor, backward,
-                       gradient_check)
+                       gradient_check, no_grad)
 from .config import (BackboneConfig, DataSpec, RunConfig, desk_preset,
                      load_preset, paper_preset, SHAPE_FAMILIES)
 from .data import (DatasetSplit, SyntheticSpec, augment, build_dataset,

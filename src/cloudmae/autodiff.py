@@ -10,11 +10,17 @@ frees each node's closure and inputs as soon as it has been processed. Work
 only backward needs, such as the arg index of ``reduce_max``/``reduce_min``,
 is done inside the closure, so a forward-only pass never pays for it.
 
+Inside ``with no_grad():`` no op records anything: results are plain tensors
+without closures or inputs, so a forward-only pass keeps no activation alive
+beyond the tensors it returns. The context nests and restores the previous
+state on exit, also after an exception.
+
 All results are checked for NaN/Inf at creation; a non-finite value raises
 ``NumericsError`` instead of propagating.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -33,6 +39,20 @@ class NumericsError(ArithmeticError):
 
 class GraphError(RuntimeError):
     """Backward called on an invalid or already-consumed graph."""
+
+
+_recording = True   # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording the tape; results never require grad."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _check_finite(data, op):
@@ -163,6 +183,8 @@ def _result(op, data, parents, vjp, check=True):
     if check:
         _check_finite(data, op)
     out = Tensor._wrap(np.asarray(data, dtype=np.float64))
+    if not _recording:
+        return out
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
@@ -548,7 +570,8 @@ def backward(loss, store=None):
     if loss._done:
         raise GraphError("backward: graph already consumed")
     if not loss.requires_grad:
-        raise GraphError("backward: loss does not require grad")
+        raise GraphError("backward: loss does not require grad "
+                         "(computed under no_grad, or a model call with train=False?)")
 
     order = _topo_order(loss)
     for node in order:

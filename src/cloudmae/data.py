@@ -6,7 +6,6 @@ Gaussian jitter, and scaling into the unit sphere. File IO covers
 whitespace-delimited XYZ text and ascii / binary-little-endian PLY.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,15 +326,16 @@ def _load_ply(path):
             pts[i] = [float(parts[c]) for c in cols]
         return PointCloud(points=pts)
 
-    fmt_str = "<" + "".join(_PLY_SCALAR[t][0] for _, t in props)
-    stride = struct.calcsize(fmt_str)
-    needed = stride * count
-    if len(body) < needed:
+    # packed little-endian records; fields are named by position, since a
+    # header may repeat a property name
+    record = np.dtype([(f"f{i}", "<" + _PLY_SCALAR[t][0])
+                       for i, (_, t) in enumerate(props)])
+    if len(body) < record.itemsize * count:
         raise ValueError(f"{path}: binary payload truncated")
     pts = np.empty((count, 3))
-    for i in range(count):
-        values = struct.unpack_from(fmt_str, body, i * stride)
-        pts[i] = [values[c] for c in cols]
+    rows = np.frombuffer(body, dtype=record, count=count)
+    for j, c in enumerate(cols):
+        pts[:, j] = rows[f"f{c}"]
     return PointCloud(points=pts)
 
 
@@ -360,5 +360,6 @@ def save_ply(path, point_groups, colors=None):
         f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         f.write("end_header\n")
         for g, (r, gr, b) in zip(groups, colors):
-            for x, y, z in g:
-                f.write(f"{x:.17g} {y:.17g} {z:.17g} {r} {gr} {b}\n")
+            # one %-format call per group: "%.17g" formats a float like f"{x:.17g}"
+            rows = f"%.17g %.17g %.17g {r} {gr} {b}\n" * g.shape[0]
+            f.write(rows % tuple(g.ravel().tolist()))

@@ -8,14 +8,21 @@ input instead (the decoder is then skipped), which leaks patch locations to
 the encoder early.
 
 Every forward pass is batch-first: ``pretrain_forward_batch`` and
-``PointCloudClassifier.features_batch`` patchify the whole batch in one
+``MaskedAutoencoder.features_batch`` patchify the whole batch in one
 ``build_patches`` call and run a leading batch axis through one encoder stack
 and one decoder stack. The per-instance methods (``pretrain_forward``,
 ``encode``, ``decode``, ``features``, ``logits``) are thin wrappers that run a
 batch of one.
+
+The ``train`` flag of the forward passes says whether a backward will follow.
+With ``train=False`` the pass runs under ``autodiff.no_grad``: the same ops in
+the same order, so the outputs are bit-identical, but no tape is recorded and
+no activation outlives the pass. A loss computed that way cannot be
+differentiated; ``backward`` on it raises ``GraphError``.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +116,11 @@ def _run_stack(x, centers, pe_mlp, blocks, ln_g, ln_b):
     return ad.layer_norm(x, ln_g, ln_b)
 
 
+def _tape(train):
+    """Context of a forward pass: the tape is recorded only when ``train``."""
+    return nullcontext() if train else ad.no_grad()
+
+
 class ClassifierHead:
     """Two-layer GELU MLP from pooled features to logits, on (B, in_dim) rows."""
 
@@ -196,7 +208,15 @@ class MaskedAutoencoder:
         flat = ad.linear(decoded_mask_tokens, self.head_w, self.head_b)
         return ad.reshape(flat, decoded_mask_tokens.shape[:-1] + (self.patch_size, 3))
 
-    def pretrain_forward(self, cloud, n_patches, ratio, seed, mask_type="random"):
+    def features_batch(self, clouds, n_patches, seeds):
+        """(B, 2*dim) max- and mean-pooled encoder features; all patches visible."""
+        ps = build_patches(clouds, n_patches, self.patch_size,
+                           [derive_seed(s, "patches") for s in seeds])
+        x = self.encoder_stack(self.embed_batch(ps.patches), ps.centers)
+        return ad.concat([ad.reduce_max(x, axis=1), ad.reduce_mean(x, axis=1)], axis=1)
+
+    def pretrain_forward(self, cloud, n_patches, ratio, seed, mask_type="random",
+                         train=True):
         """Full masked-reconstruction pass on one cloud: a batch of one.
 
         Returns (loss, diagnostics); diagnostics carry the patch set, mask
@@ -204,7 +224,7 @@ class MaskedAutoencoder:
         export reconstructions.
         """
         loss, batch = self.pretrain_forward_batch([cloud], n_patches, ratio, [seed],
-                                                  mask_type=mask_type)
+                                                  mask_type=mask_type, train=train)
         diagnostics = {
             "patchset": batch["patchsets"][0],
             "mask": batch["masks"][0],
@@ -222,10 +242,10 @@ class MaskedAutoencoder:
 
         Each instance derives its patch and mask seeds from its own seed. All
         instances share (n, ratio), so visible/masked counts align and the
-        whole batch runs as one graph with a leading batch axis. ``train`` is
-        accepted for callers that pass it; no layer behaves differently in
-        training. Returns (loss, diagnostics) with per-instance patch sets
-        and masks and (B, mn, k, 3) predicted and target patches.
+        whole batch runs as one graph with a leading batch axis. With
+        ``train=False`` the pass records no tape (see the module docstring).
+        Returns (loss, diagnostics) with per-instance patch sets and masks
+        and (B, mn, k, 3) predicted and target patches.
         """
         patchsets = build_patches(clouds, n_patches, self.patch_size,
                                   [derive_seed(s, "patches") for s in seeds]).unstack()
@@ -243,15 +263,16 @@ class MaskedAutoencoder:
         b, v, mn = len(clouds), vis.shape[1], gt.shape[1]
         centers_all = np.stack(all_c)              # B x (v+mn) x 3
 
-        tokens = self.embed_batch(vis)
-        t_m = ad.broadcast_to(self.mask_token.param, (b, mn, self.cfg.dim))
-        if self.cfg.mask_token_placement == "decoder":
-            x = ad.concat([self.encoder_stack(tokens, np.stack(vis_c)), t_m], axis=1)
-            x = self.decoder_stack(x, centers_all)
-        else:
-            x = self.encoder_stack(ad.concat([tokens, t_m], axis=1), centers_all)
-        predicted = self.predict(ad.gather(x, np.arange(v, v + mn), axis=1))
-        loss = batch_chamfer(predicted, Tensor(gt)) if mn else Tensor(0.0)
+        with _tape(train):
+            tokens = self.embed_batch(vis)
+            t_m = ad.broadcast_to(self.mask_token.param, (b, mn, self.cfg.dim))
+            if self.cfg.mask_token_placement == "decoder":
+                x = ad.concat([self.encoder_stack(tokens, np.stack(vis_c)), t_m], axis=1)
+                x = self.decoder_stack(x, centers_all)
+            else:
+                x = self.encoder_stack(ad.concat([tokens, t_m], axis=1), centers_all)
+            predicted = self.predict(ad.gather(x, np.arange(v, v + mn), axis=1))
+            loss = batch_chamfer(predicted, Tensor(gt)) if mn else Tensor(0.0)
         return loss, {"visible_count": v, "masked_count": mn, "patchsets": patchsets,
                       "masks": masks, "predicted": predicted.data, "target": gt}
 
@@ -282,10 +303,7 @@ class PointCloudClassifier:
 
     def features_batch(self, clouds, seeds):
         """(B, 2*dim) pooled encoder features; all patches visible."""
-        ps = build_patches(clouds, self.n_patches, self.backbone.patch_size,
-                           [derive_seed(s, "patches") for s in seeds])
-        x = self.backbone.encoder_stack(self.backbone.embed_batch(ps.patches), ps.centers)
-        return ad.concat([ad.reduce_max(x, axis=1), ad.reduce_mean(x, axis=1)], axis=1)
+        return self.backbone.features_batch(clouds, self.n_patches, seeds)
 
     def features(self, cloud, seed):
         """(1, 2*dim) pooled encoder features for one cloud."""
@@ -298,10 +316,11 @@ class PointCloudClassifier:
     def logits_batch(self, clouds, seeds, train=False):
         """(B, n_classes) logits for a batch of clouds in one graph.
 
-        ``train`` is accepted for callers that pass it; no layer behaves
-        differently in training.
+        Inference by default: the pass records a tape only with
+        ``train=True``, which a caller that runs backward must pass.
         """
-        return self.head(self.features_batch(clouds, seeds))
+        with _tape(train):
+            return self.head(self.features_batch(clouds, seeds))
 
 
 def cross_entropy(logits, label):

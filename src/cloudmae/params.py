@@ -159,10 +159,10 @@ def read_container(blob):
     arrays = {}
     for name, shape in _header_entries(header):
         n = math.prod(shape)
-        raw = blob[offset:offset + 8 * n]
-        if len(raw) != 8 * n:
+        if len(blob) - offset < 8 * n:
             raise ValueError(f"container: truncated payload for {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=n,
+                                     offset=offset).reshape(shape).copy()
         offset += 8 * n
     if offset != len(blob):
         raise ValueError(f"container: {len(blob) - offset} trailing bytes after the payloads")

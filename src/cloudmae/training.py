@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NumericsError, Tensor, backward
+from .autodiff import NumericsError, Tensor, backward, no_grad
 from .config import RunConfig
 from .data import augment, build_dataset, save_ply
 from .geometry import PointCloud, chamfer_l2
@@ -275,7 +275,7 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
             clouds = [augment(train[idx], derive_seed(seed, "aug", epoch, int(idx)))
                       for idx in batch]
             labels = [label_pos[train[idx].label] for idx in batch]
-            logits = clf.logits_batch(clouds, view_seeds)
+            logits = clf.logits_batch(clouds, view_seeds, train=True)
             loss = cross_entropy_batch(logits, labels)
             backward(loss)
             epoch_losses.append(float(loss.data))
@@ -325,9 +325,7 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
                 f"class {label} has {len(items)} items, needs {needed}")
 
     cfg = checkpoint.config()
-    clf_like = PointCloudClassifier(cfg.model, cfg.patch_size, cfg.n_patches,
-                                    n_classes=2, seed=0)
-    clf_like.load_backbone(checkpoint.params)
+    backbone = checkpoint.build_model()   # its decoder stays unused
 
     feature_cache = {}
     pool_index = {id(c): i for i, c in enumerate(pool)}
@@ -338,8 +336,9 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
         for cloud, _ in pairs:
             key = pool_index[id(cloud)]
             if key not in feature_cache:
-                feature_cache[key] = clf_like.features(
-                    cloud, seed=derive_seed(seed, "feat", key)).data
+                with no_grad():
+                    feature_cache[key] = backbone.features_batch(
+                        [cloud], cfg.n_patches, [derive_seed(seed, "feat", key)]).data
             rows.append(feature_cache[key])
         return Tensor(np.concatenate(rows)), [y for _, y in pairs]
 
@@ -359,7 +358,8 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
         head = _train_fewshot_head(cfg.model, n_way, *stacked(supports),
                                    derive_seed(seed, "head", run), head_epochs, head_lr)
         feats, labels = stacked(queries)
-        preds = np.argmax(head(feats).data, axis=1)
+        with no_grad():
+            preds = np.argmax(head(feats).data, axis=1)
         accuracies.append(int(np.sum(preds == labels)) / len(queries))
 
     acc = np.array(accuracies)
@@ -449,7 +449,7 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed, mask_type="rando
     replaces each predicted patch with k copies of its center.
     """
     _, diag = model.pretrain_forward(cloud, n_patches, ratio, seed=seed,
-                                     mask_type=mask_type)
+                                     mask_type=mask_type, train=False)
     ps, spec = diag["patchset"], diag["mask"]
     vis_idx = np.unique(ps.point_indices[spec.visible].reshape(-1))
     visible_pts = cloud.points[vis_idx]

@@ -204,3 +204,51 @@ def test_finite_difference_per_op(name):
     fn, tensors = OP_CHECKS[name](rng)
     err = gradient_check(lambda *_: fn(), tensors)
     assert err < 1e-4, f"{name}: max rel err {err:.3e}"
+
+
+@pytest.mark.parametrize("name", sorted(OP_CHECKS))
+def test_no_grad_records_no_tape_and_same_values(name, monkeypatch):
+    fn, tensors = OP_CHECKS[name](np.random.default_rng(5))
+    recorded = fn().data
+    made = []
+    result = ad._result
+
+    def spy(*args, **kwargs):
+        made.append(result(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "_result", spy)
+    with ad.no_grad():
+        out = fn()
+    assert made and out is made[-1]
+    for t in made:
+        assert t._vjp is None and t._parents == () and not t.requires_grad
+    assert out.data.tobytes() == recorded.tobytes()
+    assert all(t.requires_grad for t in tensors)   # leaves keep their flag
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not (w * w).requires_grad
+        assert not (w * w).requires_grad
+    assert (w * w).requires_grad
+    with pytest.raises(NumericsError):
+        with ad.no_grad():
+            ad.log(Tensor([0.0]))     # the finite check still runs
+    assert (w * w).requires_grad
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            with ad.no_grad():
+                raise KeyError("inner")
+    assert (w * w).requires_grad
+
+
+def test_backward_on_tape_free_loss_raises_graph_error():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with ad.no_grad():
+        loss = ad.reduce_sum(w * w)
+    with pytest.raises(GraphError, match="no_grad"):
+        backward(loss)
+    assert w.grad is None

@@ -1,10 +1,15 @@
+import struct
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudmae.config import DataSpec, SHAPE_FAMILIES
-from cloudmae.data import (DatasetSplit, SyntheticSpec, augment, build_dataset,
-                           gen_synthetic, load_points, normalize_cloud,
-                           save_ply, save_xyz, scale_translate)
+from cloudmae.data import (_PLY_SCALAR, DatasetSplit, SyntheticSpec, augment,
+                           build_dataset, gen_synthetic, load_points,
+                           normalize_cloud, save_ply, save_xyz, scale_translate)
 from cloudmae.geometry import PointCloud
 
 
@@ -197,3 +202,97 @@ class TestPLY:
     def test_group_color_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="colors"):
             save_ply(tmp_path / "x.ply", [np.zeros((2, 3))], colors=[(1, 2, 3), (4, 5, 6)])
+
+
+def _ply_values(kind):
+    """Hypothesis values exactly representable in one PLY scalar type."""
+    code, size = _PLY_SCALAR[kind]
+    if code == "f":
+        return st.floats(width=32, allow_nan=False, allow_infinity=False)
+    if code == "d":
+        return st.floats(allow_nan=False, allow_infinity=False)
+    bits = 8 * size
+    if code.islower():
+        return st.integers(-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+    return st.integers(0, (1 << bits) - 1)
+
+
+@st.composite
+def _binary_ply(draw):
+    """(file bytes, expected points) with typed coordinates among extra columns."""
+    kinds = sorted(_PLY_SCALAR)
+    extras = draw(st.lists(st.sampled_from(kinds), max_size=4))
+    props = [(f"extra{i}", kind) for i, kind in enumerate(extras)]
+    props += [(c, draw(st.sampled_from(kinds))) for c in "xyz"]
+    props = draw(st.permutations(props))     # colour-like columns may come before x
+    if draw(st.booleans()):
+        props.insert(0, ("red", "uchar"))
+    count = draw(st.integers(1, 12))
+    rows = [[draw(_ply_values(kind)) for _, kind in props] for _ in range(count)]
+    fmt = "<" + "".join(_PLY_SCALAR[kind][0] for _, kind in props)
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {count}\n"
+              + "".join(f"property {kind} {name}\n" for name, kind in props)
+              + "end_header\n")
+    body = b"".join(struct.pack(fmt, *row) for row in rows)
+    cols = [[name for name, _ in props].index(c) for c in "xyz"]
+    points = np.array([[float(row[c]) for c in cols] for row in rows])
+    return header.encode("ascii") + body, points
+
+
+class TestBinaryPLYRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_binary_ply(), trailing=st.binary(max_size=16))
+    def test_struct_packed_file_reads_back_exactly(self, tmp_path_factory, case, trailing):
+        blob, points = case
+        path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+        path.write_bytes(blob + trailing)     # bytes after the vertices are ignored
+        loaded = load_points(path).points
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == points.tobytes()
+
+    def test_every_scalar_type_as_coordinate(self, tmp_path):
+        for kind, (code, _) in _PLY_SCALAR.items():
+            header = ("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                      "property uchar red\n"
+                      + "".join(f"property {kind} {c}\n" for c in "xyz")
+                      + "end_header\n").encode("ascii")
+            body = struct.pack("<B" + 3 * code, 7, 1, 2, 3) + struct.pack(
+                "<B" + 3 * code, 9, 4, 5, 6)
+            path = tmp_path / f"{kind}.ply"
+            path.write_bytes(header + body)
+            assert np.array_equal(load_points(path).points, [[1, 2, 3], [4, 5, 6]]), kind
+
+
+class TestSavePLYFormat:
+    @staticmethod
+    def oracle(groups, colors):
+        total = sum(len(g) for g in groups)
+        lines = ["ply", "format ascii 1.0", f"element vertex {total}",
+                 "property double x", "property double y", "property double z",
+                 "property uchar red", "property uchar green", "property uchar blue",
+                 "end_header"]
+        for g, (r, gr, b) in zip(groups, colors):
+            lines += [f"{x:.17g} {y:.17g} {z:.17g} {r} {gr} {b}" for x, y, z in g]
+        return ("\n".join(lines) + "\n").encode("ascii")
+
+    def test_bytes_equal_per_row_oracle_at_float_extremes(self, tmp_path):
+        big = sys.float_info.max
+        a = np.array([[-0.0, 0.0, 5e-324], [big, -big, 0.1], [1.0, -2.5, 1e300]])
+        b = np.random.default_rng(10).normal(size=(20, 3))
+        colors = [(70, 130, 220), (220, 80, 60)]
+        path = tmp_path / "triad.ply"
+        save_ply(path, [a, b], colors=colors)
+        assert path.read_bytes() == self.oracle([a, b], colors)
+        assert load_points(path).points.tobytes() == np.concatenate([a, b]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups=st.lists(st.lists(
+        st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+        max_size=6), min_size=1, max_size=3))
+    def test_bytes_equal_per_row_oracle(self, tmp_path_factory, groups):
+        arrays = [np.array(g, dtype=np.float64).reshape(-1, 3) for g in groups]
+        colors = [(i, 2 * i, 255 - i) for i in range(len(arrays))]
+        path = tmp_path_factory.mktemp("ply") / "out.ply"
+        save_ply(path, arrays, colors=colors)
+        assert path.read_bytes() == self.oracle(arrays, colors)

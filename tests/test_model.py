@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cloudmae import autodiff as ad
-from cloudmae.autodiff import Tensor, backward, gradient_check
+from cloudmae.autodiff import GraphError, Tensor, backward, gradient_check
 from cloudmae.config import BackboneConfig
 from cloudmae.data import SyntheticSpec, gen_synthetic
 from cloudmae.geometry import batch_chamfer, build_patches
@@ -265,6 +265,46 @@ class TestPretrainForward:
         drops = sum(b < a for a, b in zip(losses, losses[1:]))
         assert drops / (len(losses) - 1) >= 0.95
         assert losses[-1] < 0.5 * losses[0]
+
+
+class TestTrainFlag:
+    """``train=False`` runs the same ops tape-free; ``train=True`` records."""
+
+    @staticmethod
+    def assert_tape_free(t):
+        assert t._vjp is None and t._parents == () and not t.requires_grad
+
+    @pytest.mark.parametrize("placement", ["decoder", "encoder"])
+    def test_pretrain_forward_outputs_bit_identical(self, placement):
+        model = small_model(placement, seed=8)
+        clouds, seeds = [cloud_for(36), cloud_for(37)], [46, 47]
+        loss_t, diag_t = model.pretrain_forward_batch(clouds, 16, 0.6, seeds, train=True)
+        loss_e, diag_e = model.pretrain_forward_batch(clouds, 16, 0.6, seeds, train=False)
+        assert loss_t.requires_grad
+        self.assert_tape_free(loss_e)
+        assert loss_e.data.tobytes() == loss_t.data.tobytes()
+        assert diag_e["predicted"].tobytes() == diag_t["predicted"].tobytes()
+        with pytest.raises(GraphError):
+            backward(loss_e)
+        single, _ = model.pretrain_forward(clouds[0], 16, 0.6, seed=46, train=False)
+        self.assert_tape_free(single)
+
+    @pytest.mark.parametrize("placement", ["decoder", "encoder"])
+    def test_logits_bit_identical(self, placement):
+        cfg = BackboneConfig(dim=32, encoder_depth=2, decoder_depth=1, heads=4,
+                             embed_widths=(16, 32, 64), mask_token_placement=placement)
+        clf = PointCloudClassifier(cfg, patch_size=8, n_patches=16, n_classes=3, seed=5)
+        clouds, seeds = [cloud_for(38), cloud_for(39)], [9, 10]
+        recorded = clf.logits_batch(clouds, seeds, train=True)
+        free = clf.logits_batch(clouds, seeds)
+        assert recorded.requires_grad
+        self.assert_tape_free(free)
+        self.assert_tape_free(clf.logits(clouds[0], seeds[0]))
+        assert free.data.tobytes() == recorded.data.tobytes()
+        with pytest.raises(GraphError):
+            backward(cross_entropy_batch(free, [0, 1]))
+        backward(cross_entropy_batch(recorded, [0, 1]))
+        assert clf.store["cls_head.lin2.w"].grad is not None
 
 
 class TestClassifier:

@@ -7,7 +7,8 @@ from cloudmae.autodiff import NumericsError
 from cloudmae.config import RunConfig, desk_preset
 from cloudmae.data import build_dataset, gen_synthetic, load_points, SyntheticSpec
 from cloudmae.geometry import PointCloud
-from cloudmae.model import MaskedAutoencoder
+from cloudmae import params as params_mod
+from cloudmae.model import MaskedAutoencoder, PointCloudClassifier
 from cloudmae.params import write_container
 from cloudmae.seeding import derive_seed
 from cloudmae.training import (Checkpoint, Metrics, TrainingAbort, ablate_mask,
@@ -210,6 +211,37 @@ class TestFewshot:
         b = fewshot_eval(ckpt, pool, 2, 1, runs=3, test_per_class=2, seed=5,
                          head_epochs=2)
         assert a["per_run"] == b["per_run"]
+
+    def test_init_free_backbone_matches_build_then_load(self, tiny_run, monkeypatch):
+        cfg, dataset, ckpt, _ = tiny_run
+        pool = dataset.train + dataset.val + dataset.test
+        draws = []
+        real_draw = params_mod.truncated_normal
+
+        def counted(rng, shape, std=0.02):
+            draws.append(tuple(shape))
+            return real_draw(rng, shape, std=std)
+
+        monkeypatch.setattr(params_mod, "truncated_normal", counted)
+        want = fewshot_eval(ckpt, pool, 2, 1, runs=2, test_per_class=2, seed=6,
+                            head_epochs=3)
+        head_w = [(2 * cfg.model.dim, cfg.model.dim), (cfg.model.dim, 2)]
+        assert draws == head_w * 2      # only the two runs' few-shot heads draw
+        monkeypatch.undo()
+
+        # the classifier built, drawn and then loaded that few-shot features came from
+        clf = PointCloudClassifier(cfg.model, cfg.patch_size, cfg.n_patches,
+                                   n_classes=2, seed=0)
+        clf.load_backbone(ckpt.params)
+        backbone = ckpt.build_model()
+        for i, cloud in enumerate(pool[:4]):
+            seed = derive_seed(6, "feat", i)
+            assert (backbone.features_batch([cloud], cfg.n_patches, [seed]).data.tobytes()
+                    == clf.features(cloud, seed).data.tobytes())
+        monkeypatch.setattr(Checkpoint, "build_model", lambda self: clf.backbone)
+        got = fewshot_eval(ckpt, pool, 2, 1, runs=2, test_per_class=2, seed=6,
+                           head_epochs=3)
+        assert got["per_run"] == want["per_run"]
 
     def test_insufficient_items_names_class(self, tiny_run):
         cfg, dataset, ckpt, _ = tiny_run
