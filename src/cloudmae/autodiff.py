@@ -114,9 +114,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -553,15 +550,13 @@ def _topo_order(root):
     return order
 
 
-def backward(loss, store=None):
+def backward(loss):
     """Run reverse-mode differentiation from a scalar loss.
 
     Gradients accumulate into ``.grad`` of every reachable leaf tensor that
     requires grad. The tape is freed as backward goes; a second backward
     through the same graph raises ``GraphError``, also after a backward that
-    failed midway. With a ``ParamStore`` passed as ``store``, returns a
-    name -> gradient dict covering every registered parameter (zeros for
-    parameters the loss does not depend on).
+    failed midway.
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward: loss must be a Tensor")
@@ -604,10 +599,6 @@ def backward(loss, store=None):
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-
-    if store is not None:
-        return store.gradients()
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .autodiff import NumericsError
-from .config import RunConfig, load_preset
+from .config import RunConfig, apply_overrides, load_preset
 from .data import build_dataset, gen_synthetic, load_points, save_xyz, SyntheticSpec
 from .gradcheck import run_gradient_suite
 from .seeding import derive_seed
@@ -40,23 +40,12 @@ def _add_common(p):
 
 
 def _resolve_config(args):
-    if args.config:
-        cfg = RunConfig.from_json(Path(args.config).read_text())
-    else:
-        cfg = load_preset(args.preset)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mask_ratio is not None:
-        cfg.mask_ratio = args.mask_ratio
-    if args.mask_type is not None:
-        cfg.mask_type = args.mask_type
-    if args.mask_tokens_at is not None:
-        cfg.model.mask_token_placement = args.mask_tokens_at
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    cfg.__post_init__()
-    cfg.model.__post_init__()
-    return cfg
+    cfg = (RunConfig.from_json(Path(args.config).read_text()) if args.config
+           else load_preset(args.preset))
+    overrides = {"seed": args.seed, "mask_ratio": args.mask_ratio,
+                 "mask_type": args.mask_type,
+                 "mask_token_placement": args.mask_tokens_at, "out_dir": args.out or None}
+    return apply_overrides(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def build_parser():

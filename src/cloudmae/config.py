@@ -7,7 +7,7 @@ CPU) and ``paper`` (the full-scale configuration for users with real data).
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .masking import masked_count
+from .masking import check_mask_ratio
 
 SHAPE_FAMILIES = ("sphere", "cube", "cylinder", "torus", "cone", "plane")
 
@@ -78,11 +78,7 @@ class RunConfig:
             raise ValueError("n_patches and patch_size must not exceed points")
         if self.n_patches < 1 or self.patch_size < 1:
             raise ValueError("n_patches and patch_size must be >= 1")
-        if not 0.0 <= self.mask_ratio <= 1.0:
-            raise ValueError(f"mask_ratio {self.mask_ratio} outside [0, 1]")
-        if masked_count(self.n_patches, self.mask_ratio) >= self.n_patches:
-            raise ValueError(
-                f"mask_ratio {self.mask_ratio} leaves no visible patch of {self.n_patches}")
+        check_mask_ratio(self.n_patches, self.mask_ratio)
         if self.mask_type not in ("random", "block"):
             raise ValueError(f"bad mask_type {self.mask_type!r}")
         if self.batch_size < 1:
@@ -143,29 +139,25 @@ def desk_preset(**overrides):
         finetune_lr=1e-3,
         finetune_epochs=60,
     )
-    return _apply_overrides(cfg, overrides)
+    return apply_overrides(cfg, **overrides)
 
 
 def paper_preset(**overrides):
     """Full-scale configuration (1024 points, 64 patches, 12/4 blocks)."""
-    cfg = RunConfig()
-    return _apply_overrides(cfg, overrides)
+    return apply_overrides(RunConfig(), **overrides)
 
 
-def _apply_overrides(cfg, overrides):
+def apply_overrides(cfg, **overrides):
+    """A new config: ``cfg`` with each override routed to the section naming its field.
+
+    The result is built and validated by ``RunConfig.from_dict``, so a key that
+    names no field raises its "unknown config fields" ``ValueError``.
+    """
+    d = cfg.to_dict()
     for key, value in overrides.items():
-        if hasattr(cfg, key):
-            setattr(cfg, key, value)
-        elif hasattr(cfg.model, key):
-            setattr(cfg.model, key, value)
-        elif hasattr(cfg.data, key):
-            setattr(cfg.data, key, value)
-        else:
-            raise KeyError(f"unknown config field {key!r}")
-    cfg.__post_init__()
-    cfg.model.__post_init__()
-    cfg.data.__post_init__()
-    return cfg
+        section = next((d[s] for s in ("model", "data") if key in d[s]), d)
+        section[key] = value
+    return RunConfig.from_dict(d)
 
 
 def load_preset(name, **overrides):

@@ -255,10 +255,13 @@ def _load_xyz(path):
 
 
 def save_xyz(path, points):
-    points = np.asarray(points, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as f:
-        for x, y, z in points:
-            f.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        _write_rows(f, np.asarray(points, dtype=np.float64).reshape(-1, 3))
+
+
+def _write_rows(f, points, suffix=""):
+    """One %-format call for an (n, 3) float64 array; "%.17g" equals f"{x:.17g}"."""
+    f.write((f"%.17g %.17g %.17g{suffix}\n" * len(points)) % tuple(points.ravel().tolist()))
 
 
 def _load_ply(path):
@@ -360,6 +363,4 @@ def save_ply(path, point_groups, colors=None):
         f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         f.write("end_header\n")
         for g, (r, gr, b) in zip(groups, colors):
-            # one %-format call per group: "%.17g" formats a float like f"{x:.17g}"
-            rows = f"%.17g %.17g %.17g {r} {gr} {b}\n" * g.shape[0]
-            f.write(rows % tuple(g.ravel().tolist()))
+            _write_rows(f, g, f" {r} {gr} {b}")

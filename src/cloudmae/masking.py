@@ -18,6 +18,14 @@ def masked_count(n, ratio):
     return int(math.floor(ratio * n + 0.5))
 
 
+def check_mask_ratio(n, ratio):
+    """Raise ValueError unless masking ``ratio`` of ``n`` patches leaves one visible."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"mask_ratio {ratio} outside [0, 1]")
+    if masked_count(n, ratio) >= n:
+        raise ValueError(f"mask_ratio {ratio} leaves no visible patch of {n}")
+
+
 @dataclass
 class MaskSpec:
     """Disjoint, exhaustive partition of {0..n-1} into masked and visible."""

@@ -1,8 +1,9 @@
-"""Parameter registry, AdamW optimizer, cosine LR schedule, serialization.
+"""Parameter registry, AdamW optimizer, cosine LR schedule, container format.
 
-Serialized containers hold a JSON metadata header (names, shapes, arbitrary
-metadata) followed by little-endian float64 payloads in header order, so a
-round trip is bit-exact.
+Containers hold a JSON metadata header (names, shapes, arbitrary metadata)
+followed by little-endian float64 payloads in header order, so a round trip
+is bit-exact. ``training.Checkpoint`` is the only writer of run state: it
+names, copies, checks and restores parameters and AdamW moments.
 """
 
 import json
@@ -55,10 +56,6 @@ class ParamStore:
             raise KeyError(f"parameter {name!r} already registered")
         if self._arrays is not None:
             data = _loaded(self._arrays, name, tuple(shape))
-        elif isinstance(init, np.ndarray):
-            if init.shape != tuple(shape):
-                raise ShapeError(f"init array {init.shape} != declared {tuple(shape)}")
-            data = init.astype(np.float64)
         elif init == "trunc_normal":
             data = truncated_normal(self._rng, shape, std=std)
         elif init == "zeros":
@@ -74,14 +71,8 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def __len__(self):
         return len(self._params)
-
-    def names(self):
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -106,14 +97,6 @@ class ParamStore:
     def load_arrays(self, arrays):
         for name, t in self._params.items():
             t.data = _loaded(arrays, name, t.data.shape)
-
-    def to_bytes(self, meta=None):
-        return write_container(self.state_arrays(), meta or {})
-
-    def load_bytes(self, blob):
-        arrays, meta = read_container(blob)
-        self.load_arrays(arrays)
-        return meta
 
 
 def _loaded(arrays, name, shape):
@@ -206,10 +189,9 @@ class AdamW:
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
 
-    def step(self, grads=None, lr=None):
-        """Apply one update from ``grads`` (defaults to the store's .grad)."""
-        if grads is None:
-            grads = self.store.gradients()
+    def step(self, lr=None):
+        """Apply one update from the store's gradients."""
+        grads = self.store.gradients()
         lr = self.lr if lr is None else lr
         b1, b2 = self.betas
         self.step_count += 1
@@ -234,19 +216,6 @@ class AdamW:
             if self.weight_decay:
                 update += (lr * self.weight_decay) * p.data
             p.data = p.data - update
-
-    def state_arrays(self):
-        out = {}
-        for name in self.store.names():
-            out[f"m/{name}"] = self.m[name]
-            out[f"v/{name}"] = self.v[name]
-        return out
-
-    def load_state(self, arrays, step_count):
-        for name in self.store.names():
-            self.m[name] = np.ascontiguousarray(arrays[f"m/{name}"])
-            self.v[name] = np.ascontiguousarray(arrays[f"v/{name}"])
-        self.step_count = int(step_count)
 
 
 def cosine_lr(step, total_steps, lr_max, lr_min=0.0, warmup_steps=0):

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericsError, Tensor, backward, no_grad
-from .config import RunConfig
+from .config import RunConfig, apply_overrides
 from .data import augment, build_dataset, save_ply
-from .geometry import PointCloud, chamfer_l2
+from .geometry import chamfer_l2
+from .masking import check_mask_ratio
 from .model import (ClassifierHead, MaskedAutoencoder, PointCloudClassifier,
                     cross_entropy_batch)
 from .params import AdamW, ParamStore, cosine_lr, read_container, write_container
@@ -61,6 +62,7 @@ class Metrics:
 
 
 _CHECKPOINT_META = ("config", "epoch", "global_step", "opt_step_count")
+_CHECKPOINT_KINDS = ("param", "opt_m", "opt_v")  # array name prefixes, in file order
 
 
 @dataclass
@@ -73,7 +75,7 @@ class Checkpoint:
     meta: dict
 
     @classmethod
-    def capture(cls, model, opt, config, epoch, global_step, extra=None):
+    def capture(cls, model, opt, config, epoch, global_step):
         meta = {
             "config": config.to_dict(),
             "epoch": epoch,
@@ -81,8 +83,6 @@ class Checkpoint:
             "opt_step_count": opt.step_count,
             "seed": config.seed,
         }
-        if extra:
-            meta.update(extra)
         meta = json.loads(json.dumps(meta, sort_keys=True))  # normalize tuples
         return cls(
             params={k: v.copy() for k, v in model.store.state_arrays().items()},
@@ -92,19 +92,14 @@ class Checkpoint:
         )
 
     def to_bytes(self):
-        arrays = {}
-        for k, v in self.params.items():
-            arrays[f"param/{k}"] = v
-        for k, v in self.opt_m.items():
-            arrays[f"opt_m/{k}"] = v
-        for k, v in self.opt_v.items():
-            arrays[f"opt_v/{k}"] = v
-        return write_container(arrays, self.meta)
+        groups = zip(_CHECKPOINT_KINDS, (self.params, self.opt_m, self.opt_v))
+        return write_container({f"{kind}/{k}": v for kind, group in groups
+                                for k, v in group.items()}, self.meta)
 
     @classmethod
     def from_bytes(cls, blob):
         arrays, meta = read_container(blob)
-        groups = {"param": {}, "opt_m": {}, "opt_v": {}}
+        groups = {kind: {} for kind in _CHECKPOINT_KINDS}
         for k, v in arrays.items():
             kind, _, name = k.partition("/")
             if kind not in groups or not name:
@@ -113,6 +108,14 @@ class Checkpoint:
         missing = [key for key in _CHECKPOINT_META if key not in meta]
         if missing:
             raise ValueError(f"checkpoint: meta lacks {', '.join(map(repr, missing))}")
+        shapes = {k: v.shape for k, v in groups["param"].items()}
+        for kind in _CHECKPOINT_KINDS[1:]:
+            moments = {k: v.shape for k, v in groups[kind].items()}
+            bad = sorted(k for k in shapes.keys() | moments.keys()
+                         if shapes.get(k) != moments.get(k))
+            if bad:
+                raise ValueError(f"checkpoint: {kind}/ does not match param/ at "
+                                 + ", ".join(map(repr, bad)))
         return cls(params=groups["param"], opt_m=groups["opt_m"],
                    opt_v=groups["opt_v"], meta=meta)
 
@@ -136,6 +139,35 @@ class Checkpoint:
         return MaskedAutoencoder(cfg.model, cfg.patch_size,
                                  store=ParamStore.from_arrays(self.params))
 
+    def resume(self, config):
+        """(model, AdamW, epoch, global_step) that continue this run under ``config``.
+
+        A ``config`` that differs from the stored one in anything but ``epochs``
+        and ``out_dir`` raises a ``ValueError`` naming the fields.
+        """
+        stored, given = _flat(self.config().to_dict()), _flat(config.to_dict())
+        changed = [k for k in given if given[k] != stored[k] and k not in ("epochs", "out_dir")]
+        if changed:
+            raise ValueError("resume: config differs from the checkpoint's in "
+                             + ", ".join(changed))
+        if config.epochs <= self.meta["epoch"]:
+            raise ValueError(f"resume: epochs {config.epochs} leaves nothing to train "
+                             f"after the checkpoint's epoch {self.meta['epoch']}")
+        model = self.build_model()
+        opt = AdamW(model.store, lr=config.lr_max, weight_decay=config.weight_decay)
+        opt.m = {k: self.opt_m[k].copy() for k in opt.m}
+        opt.v = {k: self.opt_v[k].copy() for k in opt.v}
+        opt.step_count = self.meta["opt_step_count"]
+        return model, opt, self.meta["epoch"], self.meta["global_step"]
+
+
+def _flat(d, prefix=""):
+    """Nested config dict -> {"model.dim": ..., "seed": ...}."""
+    out = {}
+    for k, v in d.items():
+        out.update(_flat(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v})
+    return out
+
 
 def pretrain(config: RunConfig, resume: Checkpoint | None = None,
              out_dir=None, checkpoint_every=0, dataset=None, quiet=True):
@@ -150,23 +182,17 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
     if dataset is None:
         dataset = build_dataset(config.data, config.points, derive_seed(seed, "dataset"))
     train = dataset.train
-    model = MaskedAutoencoder(config.model, config.patch_size,
-                              seed=derive_seed(seed, "init"))
-    opt = AdamW(model.store, lr=config.lr_max, weight_decay=config.weight_decay)
+    if resume is None:
+        model = MaskedAutoencoder(config.model, config.patch_size,
+                                  seed=derive_seed(seed, "init"))
+        opt = AdamW(model.store, lr=config.lr_max, weight_decay=config.weight_decay)
+        start_epoch = global_step = 0
+    else:
+        model, opt, start_epoch, global_step = resume.resume(config)
 
     steps_per_epoch = max(1, math.ceil(len(train) / config.batch_size))
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.warmup_epochs * steps_per_epoch
-
-    start_epoch = 0
-    global_step = 0
-    if resume is not None:
-        model.store.load_arrays(resume.params)
-        opt.load_state({**{f"m/{k}": v for k, v in resume.opt_m.items()},
-                        **{f"v/{k}": v for k, v in resume.opt_v.items()}},
-                       resume.meta["opt_step_count"])
-        start_epoch = resume.meta["epoch"]
-        global_step = resume.meta["global_step"]
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -417,12 +443,10 @@ def ablate_mask(config: RunConfig, types=("random",), ratios=(0.4, 0.6, 0.8),
 
 
 def _cell_config(config, ci, mask_type, ratio, placement):
-    d = config.to_dict()
-    d.update(mask_type=mask_type, mask_ratio=float(ratio),
-             seed=derive_seed(config.seed, "ablate", ci))
-    d["model"]["mask_token_placement"] = placement
     try:
-        return RunConfig.from_dict(d)
+        return apply_overrides(config, mask_type=mask_type, mask_ratio=float(ratio),
+                               seed=derive_seed(config.seed, "ablate", ci),
+                               mask_token_placement=placement)
     except ValueError as exc:
         raise ValueError(f"ablation cell {mask_type}/{ratio}/{placement}: {exc}") from None
 
@@ -448,6 +472,7 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed, mask_type="rando
     predicted masked patches re-anchored at their centers; the baseline
     replaces each predicted patch with k copies of its center.
     """
+    check_mask_ratio(n_patches, ratio)
     _, diag = model.pretrain_forward(cloud, n_patches, ratio, seed=seed,
                                      mask_type=mask_type, train=False)
     ps, spec = diag["patchset"], diag["mask"]
@@ -477,8 +502,6 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed, mask_type="rando
 def reconstruct(checkpoint: Checkpoint, cloud, ratio, out_dir, seed=0,
                 mask_type="random"):
     """Write the {input, masked, reconstruction} PLY triad for one cloud."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"mask ratio {ratio} outside [0, 1]")
     cfg = checkpoint.config()
     model = checkpoint.build_model()
     report = reconstruction_report(model, cloud, cfg.n_patches, ratio,

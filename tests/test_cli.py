@@ -5,10 +5,10 @@ import pytest
 
 from cloudmae import cli
 from cloudmae.cli import main
-from cloudmae.config import RunConfig, desk_preset
+from cloudmae.config import RunConfig, apply_overrides, desk_preset
 from cloudmae.data import load_points
 from cloudmae.params import write_container
-from cloudmae.training import pretrain, reconstruct
+from cloudmae.training import Checkpoint, pretrain, reconstruct
 
 
 @pytest.fixture
@@ -83,6 +83,36 @@ def test_pretrain_then_downstream_commands(tmp_path, tiny_config_file, capsys):
     assert rc == 0
     for name in ("input.ply", "masked.ply", "reconstruction.ply"):
         assert load_points(recon_dir / name).p > 0
+
+
+def test_resume_checks_config_and_progress(tmp_path, tiny_config_file, capsys):
+    assert main(["pretrain", "--config", str(tiny_config_file), "--out", str(tmp_path / "a"),
+                 "--checkpoint-every", "1"]) == 0
+    mid, final = tmp_path / "a" / "checkpoint_0001.bin", tmp_path / "a" / "checkpoint_final.bin"
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(tiny_config_file), "--resume", str(mid),
+                 "--seed", "5", "--mask-ratio", "0.5", "--out", str(tmp_path / "b")]) == 1
+    assert "config differs from the checkpoint's in mask_ratio, seed" in capsys.readouterr().err
+    assert main(["pretrain", "--config", str(tiny_config_file), "--resume", str(final),
+                 "--out", str(tmp_path / "b")]) == 1
+    assert "epochs 2 leaves nothing to train" in capsys.readouterr().err
+    longer = tmp_path / "longer.json"
+    longer.write_text(apply_overrides(RunConfig.from_json(tiny_config_file.read_text()),
+                                      epochs=3).to_json())
+    assert main(["pretrain", "--config", str(longer), "--resume", str(final),
+                 "--out", str(tmp_path / "c")]) == 0
+    assert Checkpoint.load(tmp_path / "c" / "checkpoint_final.bin").meta["epoch"] == 3
+
+
+def test_resume_from_checkpoint_missing_a_moment_exits_1(tmp_path, tiny_config_file, capsys):
+    ckpt, _ = pretrain(RunConfig.from_json(tiny_config_file.read_text()))
+    del ckpt.opt_m["head.b"]
+    path = tmp_path / "partial.bin"
+    ckpt.save(path)
+    assert main(["pretrain", "--config", str(tiny_config_file), "--resume", str(path),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "partial.bin: checkpoint: opt_m/ does not match param/ at 'head.b'" in (
+        capsys.readouterr().err)
 
 
 def test_reconstruct_honours_mask_type(tmp_path, tiny_config_file, monkeypatch):

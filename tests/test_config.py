@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cloudmae.cli import main
-from cloudmae.config import RunConfig, desk_preset
+from cloudmae.config import RunConfig, apply_overrides, desk_preset
 
 
 def stored_dict(**model_extra):
@@ -20,6 +20,19 @@ def test_unknown_field_named(section, key, name):
     (d if section is None else d[section])[key] = 1
     with pytest.raises(ValueError, match=f"unknown config fields: {name}"):
         RunConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["to_dict", "bogus", "__post_init__"])
+def test_override_that_names_no_field_rejected(key):
+    with pytest.raises(ValueError, match=f"unknown config fields: {key}"):
+        desk_preset(**{key: 1})
+
+
+def test_overrides_routed_to_sections_without_touching_base():
+    base = desk_preset()
+    cfg = apply_overrides(base, dim=48, families=["cube", "sphere"], seed=3)
+    assert (cfg.model.dim, cfg.data.families, cfg.seed) == (48, ("cube", "sphere"), 3)
+    assert base == desk_preset()
 
 
 def test_stored_zero_dropout_accepted():

@@ -131,6 +131,16 @@ class TestXYZ:
         path.write_text("1 2 3 255 0 0\n")
         assert np.array_equal(load_points(path).points, [[1.0, 2.0, 3.0]])
 
+    def test_bytes_match_per_row_format(self, tmp_path):
+        extremes = [[-0.0, 5e-324, sys.float_info.max], [-sys.float_info.max, 1e-300, 0.1]]
+        pts = np.vstack([extremes, np.random.default_rng(8).normal(size=(30, 3))])
+        path = tmp_path / "cloud.xyz"
+        save_xyz(path, pts)
+        oracle = "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts)
+        assert path.read_bytes() == oracle.encode("utf-8")
+        save_xyz(path, np.zeros((0, 3)))
+        assert path.read_bytes() == b""
+
 
 class TestPLY:
     def test_save_load_roundtrip(self, tmp_path):

@@ -192,15 +192,15 @@ class TestPretrainForward:
     def test_gradient_reaches_every_parameter_decoder_mode(self):
         model = small_model()
         loss, _ = model.pretrain_forward(cloud_for(13), 16, 0.6, seed=23)
-        grads = backward(loss, model.store)
-        for name, g in grads.items():
+        backward(loss)
+        for name, g in model.store.gradients().items():
             assert np.any(g != 0.0), f"no gradient reached {name}"
 
     def test_encoder_mode_leaves_decoder_untouched(self):
         model = small_model("encoder")
         loss, _ = model.pretrain_forward(cloud_for(14), 16, 0.6, seed=24)
-        grads = backward(loss, model.store)
-        for name, g in grads.items():
+        backward(loss)
+        for name, g in model.store.gradients().items():
             if name.startswith(("decoder.", "pe_dec.")):
                 assert np.array_equal(g, np.zeros_like(g)), name
             elif name == "mask_token" or name.startswith(("encoder.", "head.", "embed.", "pe_enc.")):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,37 @@ class TestPretrain:
         assert resumed_metrics.deterministic_records() == full_tail
         for name in full_ckpt.params:
             assert np.array_equal(full_ckpt.params[name], resumed_ckpt.params[name])
+
+    @pytest.mark.parametrize("change, named", [
+        ({"seed": 1}, "seed"), ({"mask_ratio": 0.5}, "mask_ratio"),
+        ({"lr_max": 2e-3}, "lr_max"), ({"heads": 4, "seed": 1}, "model.heads, seed")],
+        ids=["seed", "mask_ratio", "lr_max", "heads_and_seed"])
+    def test_resume_refuses_changed_config(self, tiny_run, change, named):
+        _, _, ckpt, _ = tiny_run
+        with pytest.raises(ValueError, match=f"config differs from the checkpoint's in {named}$"):
+            pretrain(tiny_config(epochs=4, **change), resume=ckpt)
+
+    def test_resume_with_more_epochs_matches_longer_run(self, tmp_path):
+        # the warmup part of the schedule does not depend on epochs, so a
+        # shorter run's checkpoint at the end of warmup continues the longer run
+        longer = tiny_config(epochs=4, warmup_epochs=2)
+        full_ckpt, full_metrics = pretrain(longer)
+        pretrain(tiny_config(epochs=3, warmup_epochs=2), out_dir=tmp_path, checkpoint_every=2)
+        mid = Checkpoint.load(tmp_path / "checkpoint_0002.bin")
+        mid_bytes = mid.to_bytes()
+        resumed, resumed_metrics = pretrain(
+            tiny_config(epochs=4, warmup_epochs=2, out_dir="elsewhere"), resume=mid)
+        assert resumed_metrics.deterministic_records() == full_metrics.deterministic_records()[2:]
+        assert resumed.meta["config"]["out_dir"] == "elsewhere"
+        resumed.meta["config"]["out_dir"] = longer.out_dir
+        assert resumed.to_bytes() == full_ckpt.to_bytes()
+        assert mid.to_bytes() == mid_bytes      # resuming copies the moments
+
+    def test_resume_needs_epochs_left(self, tiny_run):
+        _, _, ckpt, _ = tiny_run
+        with pytest.raises(ValueError, match="epochs 3 leaves nothing to train after the "
+                                             "checkpoint's epoch 3"):
+            pretrain(tiny_config(), resume=ckpt)
 
     def test_loss_curve_recorded(self, tiny_run):
         _, _, _, metrics = tiny_run
@@ -122,9 +154,26 @@ class TestCheckpoint:
         monkeypatch.setattr("cloudmae.params.truncated_normal", no_draws)
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         new = ckpt.build_model()
-        assert new.store.names() == old.store.names()
+        assert list(new.store.state_arrays()) == list(old.store.state_arrays())
         for name, value in new.store.state_arrays().items():
             assert value.tobytes() == old.store[name].data.tobytes()
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("opt_m", "head.w", None), ("opt_v", "head.b", np.zeros(1)),
+        ("opt_m", "extra.w", np.zeros(2))])
+    def test_moments_must_match_parameters(self, tiny_run, tmp_path, kind, name, value):
+        _, _, ckpt, _ = tiny_run
+        moments = dict(getattr(ckpt, kind))
+        if value is None:
+            del moments[name]
+        else:
+            moments[name] = value
+        bad = Checkpoint(**{**vars(ckpt), kind: moments})
+        path = tmp_path / "moments.bin"
+        bad.save(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint: {kind}/ "
+                                             f"does not match param/ at '{name}'$"):
+            Checkpoint.load(path)
 
     def test_build_model_missing_parameter_raises(self, tiny_run):
         _, _, ckpt, _ = tiny_run
@@ -283,6 +332,14 @@ class TestReconstruct:
         cfg, dataset, ckpt, _ = tiny_run
         with pytest.raises(ValueError):
             reconstruct(ckpt, dataset.val[0], 1.5, tmp_path)
+
+    def test_ratio_that_masks_every_patch_named(self, tiny_run, tmp_path):
+        cfg, dataset, ckpt, _ = tiny_run
+        message = f"mask_ratio 1.0 leaves no visible patch of {cfg.n_patches}"
+        with pytest.raises(ValueError, match=message):
+            reconstruct(ckpt, dataset.val[0], 1.0, tmp_path)
+        with pytest.raises(ValueError, match=message):
+            reconstruction_report(ckpt.build_model(), dataset.val[0], cfg.n_patches, 1.0, seed=3)
 
     def test_report_contains_baseline(self, tiny_run):
         cfg, dataset, ckpt, _ = tiny_run
