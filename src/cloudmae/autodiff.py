@@ -487,8 +487,8 @@ def softmax(a):
     return _result("softmax", data, (a,), vjp, check=False)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Layer normalization over the last axis with learnable gain and bias."""
+def layer_norm(x, gain, bias):
+    """Layer normalization over the last axis (eps 1e-5) with learnable gain and bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     dim = x.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
@@ -497,7 +497,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     data = gain.data * xhat + bias.data
 

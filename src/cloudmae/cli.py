@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: pretrain, finetune, fewshot, ablate-mask, reconstruct,
-gradcheck, gen-data. Exit codes: 0 success, 1 usage error, 2 numerical
-failure (NaN abort).
+gradcheck, gen-data; each accepts only the flags it reads. Exit codes: 0
+success, 1 usage error, 2 numerical failure (NaN abort).
 """
 
 import argparse
@@ -29,23 +29,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p):
+_OVERRIDES = {  # run-config override flag -> (RunConfig field, add_argument keywords)
+    "--seed": ("seed", {"type": int}),
+    "--mask-ratio": ("mask_ratio", {"type": float}),
+    "--mask-type": ("mask_type", {"choices": ("random", "block")}),
+    "--mask-tokens-at": ("mask_token_placement", {"choices": ("decoder", "encoder")}),
+    "--out": ("out_dir", {}),
+}
+
+
+def _add_common(p, *flags):
     p.add_argument("--config", help="JSON file mirroring RunConfig fields")
     p.add_argument("--preset", choices=("desk", "paper"), default="desk")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mask-ratio", type=float, default=None)
-    p.add_argument("--mask-type", choices=("random", "block"), default=None)
-    p.add_argument("--mask-tokens-at", choices=("decoder", "encoder"), default=None)
-    p.add_argument("--out", default=None)
+    for flag in ("--seed",) + flags:
+        field, kwargs = _OVERRIDES[flag]
+        p.add_argument(flag, dest=field, **kwargs)
 
 
 def _resolve_config(args):
     cfg = (RunConfig.from_json(Path(args.config).read_text()) if args.config
            else load_preset(args.preset))
-    overrides = {"seed": args.seed, "mask_ratio": args.mask_ratio,
-                 "mask_type": args.mask_type,
-                 "mask_token_placement": args.mask_tokens_at, "out_dir": args.out or None}
-    return apply_overrides(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    overrides = {field: getattr(args, field, None) for field, _ in _OVERRIDES.values()}
+    return apply_overrides(cfg, **{k: v for k, v in overrides.items() if v not in (None, "")})
 
 
 def build_parser():
@@ -54,7 +59,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="run masked-reconstruction pretraining")
-    _add_common(p)
+    _add_common(p, "--mask-ratio", "--mask-type", "--mask-tokens-at", "--out")
     p.add_argument("--resume", help="checkpoint file to resume from")
     p.add_argument("--checkpoint-every", type=int, default=0)
 
@@ -71,13 +76,13 @@ def build_parser():
     p.add_argument("--test-per-class", type=int, default=20)
 
     p = sub.add_parser("ablate-mask", help="masking-strategy ablation grid")
-    _add_common(p)
+    _add_common(p, "--mask-ratio", "--out")
     p.add_argument("--types", default="random")
     p.add_argument("--ratios", default="0.4,0.6,0.8")
     p.add_argument("--no-encoder-cell", action="store_true")
 
     p = sub.add_parser("reconstruct", help="export input/masked/reconstruction PLYs")
-    _add_common(p)
+    _add_common(p, "--mask-ratio", "--mask-type", "--out")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", help="XYZ or PLY file; omit for a synthetic cloud")
     p.add_argument("--family", default="torus")
@@ -86,7 +91,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=10)
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset as XYZ files")
-    _add_common(p)
+    _add_common(p, "--out")
 
     return parser
 
@@ -125,7 +130,8 @@ def _dispatch(args):
         ckpt, metrics = pretrain(cfg, resume=resume, out_dir=out_dir,
                                  checkpoint_every=args.checkpoint_every,
                                  quiet=False)
-        print(f"final loss (x1000): {metrics.final('loss_x1000'):.4f}")
+        if metrics.records:
+            print(f"final loss (x1000): {metrics.final('loss_x1000'):.4f}")
         print(f"checkpoint: {Path(out_dir) / 'checkpoint_final.bin'}")
         return 0
 

@@ -27,13 +27,14 @@ class BackboneConfig:
             raise ValueError(f"dim {self.dim} and heads {self.heads} must be >= 1")
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.encoder_depth < 1 or self.decoder_depth < 1:
-            raise ValueError("encoder/decoder depth must be >= 1")
+        if self.encoder_depth < 1 or self.decoder_depth < 1 or self.mlp_ratio < 1:
+            raise ValueError("encoder/decoder depth and mlp_ratio must be >= 1")
         if self.mask_token_placement not in ("decoder", "encoder"):
             raise ValueError(f"bad mask_token_placement {self.mask_token_placement!r}")
         self.embed_widths = tuple(self.embed_widths)
-        if len(self.embed_widths) != 3:
-            raise ValueError("embed_widths must be (stage1_hidden, stage1_out, stage2_hidden)")
+        if len(self.embed_widths) != 3 or min(self.embed_widths) < 1:
+            raise ValueError("embed_widths must be (stage1_hidden, stage1_out, stage2_hidden), "
+                             f"each >= 1, got {self.embed_widths}")
 
 
 @dataclass
@@ -46,11 +47,15 @@ class DataSpec:
 
     def __post_init__(self):
         self.families = tuple(self.families)
-        if not self.families:
-            raise ValueError("families must name at least one shape family")
-        if self.train_per_class < 1 or self.test_per_class < 1:
+        if (not self.families or len(set(self.families)) != len(self.families)
+                or not set(self.families) <= set(SHAPE_FAMILIES)):
+            raise ValueError(f"families {self.families} must be distinct, from {SHAPE_FAMILIES}")
+        if self.train_per_class < 1 or self.test_per_class < 1 or self.val_per_class < 0:
             raise ValueError(f"train_per_class {self.train_per_class} and "
-                             f"test_per_class {self.test_per_class} must be >= 1")
+                             f"test_per_class {self.test_per_class} must be >= 1, "
+                             f"val_per_class {self.val_per_class} >= 0")
+        if not 0.0 <= self.noise_sigma < float("inf"):
+            raise ValueError(f"noise_sigma {self.noise_sigma} must be finite and >= 0")
 
 
 @dataclass
@@ -86,6 +91,8 @@ class RunConfig:
         if self.lr_max <= 0.0 or self.finetune_lr <= 0.0 or self.lr_min < 0.0:
             raise ValueError(f"lr_max {self.lr_max} and finetune_lr {self.finetune_lr} "
                              f"must be positive and lr_min {self.lr_min} non-negative")
+        if min(self.epochs, self.warmup_epochs, self.finetune_epochs) < 0:
+            raise ValueError("epochs, warmup_epochs and finetune_epochs must be >= 0")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ValueError("warmup_epochs must be smaller than epochs")
 

@@ -48,11 +48,9 @@ def _sample_cube(rng, p):
     pts = np.empty((p, 3))
     axis = face // 2
     sign = np.where(face % 2 == 0, 1.0, -1.0)
-    for i in range(p):
-        others = [j for j in range(3) if j != axis[i]]
-        pts[i, axis[i]] = sign[i] * half[axis[i]]
-        pts[i, others[0]] = u[i, 0] * half[others[0]]
-        pts[i, others[1]] = u[i, 1] * half[others[1]]
+    others = np.array([[1, 2], [0, 2], [0, 1]])[axis]  # the face's in-plane axes
+    pts[np.arange(p), axis] = sign * half[axis]
+    pts[np.arange(p)[:, None], others] = u * half[others]
     return pts
 
 
@@ -166,11 +164,11 @@ def scale_translate(cloud: PointCloud, scale, translation):
                       label=cloud.label)
 
 
-def augment(cloud: PointCloud, seed, scale_range=(0.8, 1.25), translate=0.1):
-    """Random uniform scaling and per-axis translation; train-time only."""
+def augment(cloud: PointCloud, seed):
+    """Random scaling in [0.8, 1.25) and per-axis shift in [-0.1, 0.1); train-time only."""
     rng = np.random.default_rng(seed)
-    s = rng.uniform(*scale_range)
-    t = rng.uniform(-translate, translate, size=3)
+    s = rng.uniform(0.8, 1.25)
+    t = rng.uniform(-0.1, 0.1, size=3)
     return scale_translate(cloud, s, t)
 
 
@@ -213,15 +211,15 @@ def build_dataset(data_spec, points, master_seed):
 # file formats
 # ---------------------------------------------------------------------------
 
-_PLY_SCALAR = {
-    "char": ("b", 1), "int8": ("b", 1),
-    "uchar": ("B", 1), "uint8": ("B", 1),
-    "short": ("h", 2), "int16": ("h", 2),
-    "ushort": ("H", 2), "uint16": ("H", 2),
-    "int": ("i", 4), "int32": ("i", 4),
-    "uint": ("I", 4), "uint32": ("I", 4),
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
+_PLY_SCALAR = {  # PLY property type -> struct / numpy type code
+    "char": "b", "int8": "b",
+    "uchar": "B", "uint8": "B",
+    "short": "h", "int16": "h",
+    "ushort": "H", "uint16": "H",
+    "int": "i", "int32": "i",
+    "uint": "I", "uint32": "I",
+    "float": "f", "float32": "f",
+    "double": "d", "float64": "d",
 }
 
 
@@ -331,7 +329,7 @@ def _load_ply(path):
 
     # packed little-endian records; fields are named by position, since a
     # header may repeat a property name
-    record = np.dtype([(f"f{i}", "<" + _PLY_SCALAR[t][0])
+    record = np.dtype([(f"f{i}", "<" + _PLY_SCALAR[t])
                        for i, (_, t) in enumerate(props)])
     if len(body) < record.itemsize * count:
         raise ValueError(f"{path}: binary payload truncated")
@@ -343,13 +341,11 @@ def _load_ply(path):
 
 
 def save_ply(path, point_groups, colors=None):
-    """Write one ascii PLY from one or more point groups.
+    """Write one ascii PLY from a list of point groups.
 
     Each group gets a constant RGB color; coordinates are written as doubles
     so a read-back is exact.
     """
-    if isinstance(point_groups, np.ndarray):
-        point_groups = [point_groups]
     groups = [np.asarray(g, dtype=np.float64).reshape(-1, 3) for g in point_groups]
     if colors is None:
         colors = [(180, 180, 180)] * len(groups)

@@ -25,19 +25,18 @@ class PatchEmbedder:
     parameter, so parameter names and the checkpoint layout are unchanged.
     """
 
-    def __init__(self, store, dim, prefix="embed", widths=(128, 256, 512)):
+    def __init__(self, store, dim, widths=(128, 256, 512)):
         self.dim = dim
         w1, w2, w3 = widths
         self.local_dim = w2
-        p = prefix
-        self.w1 = store.add(f"{p}.stage1.lin1.w", (3, w1))
-        self.b1 = store.add(f"{p}.stage1.lin1.b", (w1,), init="zeros")
-        self.w2 = store.add(f"{p}.stage1.lin2.w", (w1, w2))
-        self.b2 = store.add(f"{p}.stage1.lin2.b", (w2,), init="zeros")
-        self.w3 = store.add(f"{p}.stage2.lin1.w", (2 * w2, w3))
-        self.b3 = store.add(f"{p}.stage2.lin1.b", (w3,), init="zeros")
-        self.w4 = store.add(f"{p}.stage2.lin2.w", (w3, dim))
-        self.b4 = store.add(f"{p}.stage2.lin2.b", (dim,), init="zeros")
+        self.w1 = store.add("embed.stage1.lin1.w", (3, w1))
+        self.b1 = store.add("embed.stage1.lin1.b", (w1,), init="zeros")
+        self.w2 = store.add("embed.stage1.lin2.w", (w1, w2))
+        self.b2 = store.add("embed.stage1.lin2.b", (w2,), init="zeros")
+        self.w3 = store.add("embed.stage2.lin1.w", (2 * w2, w3))
+        self.b3 = store.add("embed.stage2.lin1.b", (w3,), init="zeros")
+        self.w4 = store.add("embed.stage2.lin2.w", (w3, dim))
+        self.b4 = store.add("embed.stage2.lin2.b", (dim,), init="zeros")
 
     def __call__(self, patches):
         """Embed (v, k, 3) patches into (v, dim) tokens."""
@@ -59,12 +58,12 @@ class PatchEmbedder:
 
 
 class PositionalMLP:
-    """Learnable map from 3-D center coordinates to the embedding dimension."""
+    """Learnable map from 3-D centers to the embedding dimension via 128 hidden units."""
 
-    def __init__(self, store, dim, prefix, hidden=128):
-        self.w1 = store.add(f"{prefix}.lin1.w", (3, hidden))
-        self.b1 = store.add(f"{prefix}.lin1.b", (hidden,), init="zeros")
-        self.w2 = store.add(f"{prefix}.lin2.w", (hidden, dim))
+    def __init__(self, store, dim, prefix):
+        self.w1 = store.add(f"{prefix}.lin1.w", (3, 128))
+        self.b1 = store.add(f"{prefix}.lin1.b", (128,), init="zeros")
+        self.w2 = store.add(f"{prefix}.lin2.w", (128, dim))
         self.b2 = store.add(f"{prefix}.lin2.b", (dim,), init="zeros")
 
     def __call__(self, centers):
@@ -81,9 +80,9 @@ class MaskToken:
     parameter.
     """
 
-    def __init__(self, store, dim, name="mask_token"):
+    def __init__(self, store, dim):
         self.dim = dim
-        self.param = store.add(name, (dim,))
+        self.param = store.add("mask_token", (dim,))
 
     def expand(self, count):
         if count < 0:

@@ -17,14 +17,14 @@ from .autodiff import ShapeError, Tensor
 _MAGIC = b"CMAE"
 
 
-def truncated_normal(rng, shape, std=0.02):
-    """Normal(0, std) resampled until within two standard deviations."""
-    out = rng.normal(0.0, std, size=shape)
+def truncated_normal(rng, shape):
+    """Normal(0, 0.02) resampled until within two standard deviations (0.04)."""
+    out = rng.normal(0.0, 0.02, size=shape)
     while True:
-        bad = np.abs(out) > 2.0 * std
+        bad = np.abs(out) > 0.04
         if not bad.any():
             return out
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        out[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
 
 
 class ParamStore:
@@ -51,13 +51,13 @@ class ParamStore:
         store._params, store._rng, store._arrays = {}, None, arrays
         return store
 
-    def add(self, name, shape, init="trunc_normal", std=0.02):
+    def add(self, name, shape, init="trunc_normal"):
         if name in self._params:
             raise KeyError(f"parameter {name!r} already registered")
         if self._arrays is not None:
             data = _loaded(self._arrays, name, tuple(shape))
         elif init == "trunc_normal":
-            data = truncated_normal(self._rng, shape, std=std)
+            data = truncated_normal(self._rng, shape)
         elif init == "zeros":
             data = np.zeros(shape)
         elif init == "ones":
@@ -174,17 +174,14 @@ def _header_entries(header):
 class AdamW:
     """Adam with decoupled weight decay.
 
-    p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with bias-corrected
-    first/second moments. Moment buffers shape-match their parameters.
+    p <- p - lr * (m_hat / (sqrt(v_hat) + 1e-8) + wd * p), with bias-corrected
+    first/second moments (betas 0.9, 0.999); buffers shape-match their parameters.
     """
 
-    def __init__(self, store, lr=1e-3, weight_decay=0.05,
-                 betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, store, lr=1e-3, weight_decay=0.05):
         self.store = store
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
@@ -193,7 +190,7 @@ class AdamW:
         """Apply one update from the store's gradients."""
         grads = self.store.gradients()
         lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         self.step_count += 1
         t = self.step_count
         inv_bc1 = 1.0 / (1.0 - b1 ** t)
@@ -210,7 +207,7 @@ class AdamW:
             v *= b2
             v += (1.0 - b2) * (g * g)
             denom = np.sqrt(v * inv_bc2)
-            denom += self.eps
+            denom += 1e-8
             update = m * (lr * inv_bc1)
             update /= denom
             if self.weight_decay:

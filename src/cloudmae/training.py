@@ -268,14 +268,8 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
     seed = config.seed if seed is None else seed
     labels = sorted({c.label for c in dataset.train})
     label_pos = {lab: i for i, lab in enumerate(labels)}
-    n_classes = len(labels)
-    if checkpoint is not None and checkpoint.meta.get("n_classes") not in (None, n_classes):
-        raise ValueError(
-            f"checkpoint head expects {checkpoint.meta['n_classes']} classes, "
-            f"dataset has {n_classes}")
-
     clf = PointCloudClassifier(config.model, config.patch_size, config.n_patches,
-                               n_classes, seed=derive_seed(seed, "cls_init"))
+                               len(labels), seed=derive_seed(seed, "cls_init"))
     if checkpoint is not None:
         clf.load_backbone(checkpoint.params)
     opt = AdamW(clf.store, lr=config.finetune_lr, weight_decay=config.weight_decay)
@@ -283,7 +277,7 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
     train = dataset.train
     steps_per_epoch = max(1, math.ceil(len(train) / config.batch_size))
     total_steps = config.finetune_epochs * steps_per_epoch
-    warmup_steps = max(1, total_steps // 10)
+    warmup_steps = min(max(1, total_steps // 10), total_steps - 1)  # one step: no warmup
     global_step = 0
     metrics = Metrics()
     lr = 0.0
@@ -318,11 +312,11 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
     return accuracy, clf, metrics
 
 
-def evaluate_classifier(clf, items, label_pos, seed, batch_size=16):
-    """Plain accuracy; no augmentation or masking at evaluation."""
+def evaluate_classifier(clf, items, label_pos, seed):
+    """Plain accuracy in batches of 16; no augmentation or masking at evaluation."""
     correct = 0
-    for start in range(0, len(items), batch_size):
-        chunk = items[start:start + batch_size]
+    for start in range(0, len(items), 16):
+        chunk = items[start:start + 16]
         seeds = [derive_seed(seed, "eval", start + i) for i in range(len(chunk))]
         logits = clf.logits_batch(chunk, seeds)
         preds = np.argmax(logits.data, axis=1)
@@ -331,13 +325,13 @@ def evaluate_classifier(clf, items, label_pos, seed, batch_size=16):
 
 
 def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
-                 test_per_class=20, seed=0, head_epochs=60, head_lr=5e-4):
+                 test_per_class=20, seed=0, head_epochs=60):
     """n-way / m-shot episodic evaluation over frozen encoder features.
 
     Per run: sample classes, supports, and queries with a run-indexed seed,
     train a small head on the supports, report query accuracy. Returns a dict
     with the mean, the population standard deviation over runs, and the
-    per-run accuracies.
+    per-run accuracies. Each head trains with AdamW at lr 5e-4.
     """
     by_class = {}
     for cloud in pool:
@@ -382,7 +376,7 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
             for j in picked[m_shot:]:
                 queries.append((items[j], ci))
         head = _train_fewshot_head(cfg.model, n_way, *stacked(supports),
-                                   derive_seed(seed, "head", run), head_epochs, head_lr)
+                                   derive_seed(seed, "head", run), head_epochs)
         feats, labels = stacked(queries)
         with no_grad():
             preds = np.argmax(head(feats).data, axis=1)
@@ -399,11 +393,11 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
     }
 
 
-def _train_fewshot_head(cfg, n_way, features, labels, seed, epochs, lr):
+def _train_fewshot_head(cfg, n_way, features, labels, seed, epochs):
     """Full-batch AdamW on the mean support cross-entropy, one step per epoch."""
     store = ParamStore(seed)
     head = ClassifierHead(store, "fewshot_head", 2 * cfg.dim, cfg.dim, n_way)
-    opt = AdamW(store, lr=lr, weight_decay=0.0)
+    opt = AdamW(store, lr=5e-4, weight_decay=0.0)
     for _ in range(epochs):
         store.zero_grad()
         backward(cross_entropy_batch(head(features), labels))

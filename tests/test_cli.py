@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from cloudmae import cli
-from cloudmae.cli import main
+from cloudmae.cli import build_parser, main
 from cloudmae.config import RunConfig, apply_overrides, desk_preset
 from cloudmae.data import load_points
 from cloudmae.params import write_container
@@ -165,3 +166,57 @@ def test_ablate_mask_invalid_ratio_exits_1(tmp_path, tiny_config_file, capsys):
     assert rc == 1
     assert "mask_ratio 1.0 leaves no visible patch" in capsys.readouterr().err
     assert not (tmp_path / "abl" / "ablation.json").exists()
+
+
+_COMMON = {"--config", "--preset", "--seed"}
+_FLAGS = {
+    "pretrain": _COMMON | {"--mask-ratio", "--mask-type", "--mask-tokens-at", "--out",
+                           "--resume", "--checkpoint-every"},
+    "finetune": _COMMON | {"--checkpoint"},
+    "fewshot": _COMMON | {"--checkpoint", "--n-way", "--m-shot", "--runs",
+                          "--test-per-class"},
+    "ablate-mask": _COMMON | {"--mask-ratio", "--out", "--types", "--ratios",
+                              "--no-encoder-cell"},
+    "reconstruct": _COMMON | {"--mask-ratio", "--mask-type", "--out", "--checkpoint",
+                              "--input", "--family"},
+    "gradcheck": {"--trials"},
+    "gen-data": _COMMON | {"--out"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {flag for action in p._actions for flag in action.option_strings
+                  if flag not in ("-h", "--help")}
+           for name, p in sub.choices.items()}
+    assert got == _FLAGS
+    assert sum(map(len, got.values())) == 43
+
+
+_VALUE = {"--mask-ratio": "0.5", "--mask-type": "block", "--mask-tokens-at": "encoder",
+          "--out": "elsewhere"}
+_REQUIRED = {"fewshot": ["--checkpoint", "c.bin"], "reconstruct": ["--checkpoint", "c.bin"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ("finetune", "fewshot")
+    for flag in ("--mask-ratio", "--mask-type", "--mask-tokens-at", "--out")
+] + [("ablate-mask", "--mask-type"), ("ablate-mask", "--mask-tokens-at"),
+     ("reconstruct", "--mask-tokens-at"), ("gen-data", "--mask-ratio"),
+     ("gen-data", "--mask-type"), ("gen-data", "--mask-tokens-at")])
+def test_flag_the_subcommand_does_not_read_is_rejected(command, flag, capsys):
+    argv = [command, *_REQUIRED.get(command, []), flag, _VALUE[flag]]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag} {_VALUE[flag]}" in capsys.readouterr().err
+
+
+def test_pretrain_of_zero_epochs_writes_checkpoint_and_exits_0(tmp_path, tiny_config_file,
+                                                               capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(apply_overrides(RunConfig.from_json(tiny_config_file.read_text()),
+                                    epochs=0, warmup_epochs=0).to_json())
+    assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "final loss" not in out and "checkpoint_final.bin" in out
+    assert Checkpoint.load(tmp_path / "run" / "checkpoint_final.bin").meta["epoch"] == 0

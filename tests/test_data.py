@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudmae.config import DataSpec, SHAPE_FAMILIES
-from cloudmae.data import (_PLY_SCALAR, DatasetSplit, SyntheticSpec, augment,
+from cloudmae.data import (_PLY_SCALAR, DatasetSplit, SyntheticSpec, _sample_cube, augment,
                            build_dataset, gen_synthetic, load_points,
                            normalize_cloud, save_ply, save_xyz, scale_translate)
 from cloudmae.geometry import PointCloud
@@ -23,6 +23,26 @@ class TestSynthetic:
         a = gen_synthetic(SyntheticSpec("cone", 256, noise_sigma=0.05, seed=7))
         b = gen_synthetic(SyntheticSpec("cone", 256, noise_sigma=0.05, seed=7))
         assert a.points.tobytes() == b.points.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), p=st.integers(1, 300))
+    def test_cube_matches_per_point_oracle(self, seed, p):
+        rng = np.random.default_rng(seed)
+        half = rng.uniform(0.4, 1.0, size=3)
+        areas = np.array([half[1] * half[2], half[1] * half[2],
+                          half[0] * half[2], half[0] * half[2],
+                          half[0] * half[1], half[0] * half[1]])
+        face = rng.choice(6, size=p, p=areas / areas.sum())
+        u = rng.uniform(-1.0, 1.0, size=(p, 2))
+        want = np.empty((p, 3))
+        for i in range(p):
+            axis = face[i] // 2
+            others = [j for j in range(3) if j != axis]
+            want[i, axis] = (1.0 if face[i] % 2 == 0 else -1.0) * half[axis]
+            want[i, others[0]] = u[i, 0] * half[others[0]]
+            want[i, others[1]] = u[i, 1] * half[others[1]]
+        got = _sample_cube(np.random.default_rng(seed), p)
+        assert got.tobytes() == want.tobytes()
 
     def test_clean_plane_has_rank_two(self):
         cloud = gen_synthetic(SyntheticSpec("plane", 256, noise_sigma=0.0, seed=5))
@@ -146,14 +166,14 @@ class TestPLY:
     def test_save_load_roundtrip(self, tmp_path):
         pts = np.random.default_rng(8).normal(size=(50, 3))
         path = tmp_path / "cloud.ply"
-        save_ply(path, pts, colors=[(255, 0, 0)])
+        save_ply(path, [pts], colors=[(255, 0, 0)])
         loaded = load_points(path)
         assert np.array_equal(loaded.points, pts)
 
     def test_vertex_count_header_contract(self, tmp_path):
         pts = np.random.default_rng(9).normal(size=(1024, 3))
         path = tmp_path / "big.ply"
-        save_ply(path, pts)
+        save_ply(path, [pts])
         assert load_points(path).p == 1024
 
     def test_multi_group_counts_sum(self, tmp_path):
@@ -216,12 +236,12 @@ class TestPLY:
 
 def _ply_values(kind):
     """Hypothesis values exactly representable in one PLY scalar type."""
-    code, size = _PLY_SCALAR[kind]
+    code = _PLY_SCALAR[kind]
     if code == "f":
         return st.floats(width=32, allow_nan=False, allow_infinity=False)
     if code == "d":
         return st.floats(allow_nan=False, allow_infinity=False)
-    bits = 8 * size
+    bits = 8 * struct.calcsize(code)
     if code.islower():
         return st.integers(-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
     return st.integers(0, (1 << bits) - 1)
@@ -239,7 +259,7 @@ def _binary_ply(draw):
         props.insert(0, ("red", "uchar"))
     count = draw(st.integers(1, 12))
     rows = [[draw(_ply_values(kind)) for _, kind in props] for _ in range(count)]
-    fmt = "<" + "".join(_PLY_SCALAR[kind][0] for _, kind in props)
+    fmt = "<" + "".join(_PLY_SCALAR[kind] for _, kind in props)
     header = ("ply\nformat binary_little_endian 1.0\n"
               f"element vertex {count}\n"
               + "".join(f"property {kind} {name}\n" for name, kind in props)
@@ -262,7 +282,7 @@ class TestBinaryPLYRoundTrip:
         assert loaded.tobytes() == points.tobytes()
 
     def test_every_scalar_type_as_coordinate(self, tmp_path):
-        for kind, (code, _) in _PLY_SCALAR.items():
+        for kind, code in _PLY_SCALAR.items():
             header = ("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
                       "property uchar red\n"
                       + "".join(f"property {kind} {c}\n" for c in "xyz")

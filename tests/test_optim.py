@@ -160,7 +160,7 @@ def test_duplicate_parameter_name_rejected():
 
 
 def test_truncated_normal_bounds_and_determinism():
-    a = truncated_normal(np.random.default_rng(5), (1000,), std=0.02)
-    b = truncated_normal(np.random.default_rng(5), (1000,), std=0.02)
+    a = truncated_normal(np.random.default_rng(5), (1000,))
+    b = truncated_normal(np.random.default_rng(5), (1000,))
     assert np.array_equal(a, b)
     assert np.abs(a).max() <= 0.04

@@ -225,14 +225,11 @@ class TestFinetune:
         acc, _, _ = finetune_classify(single, cfg, checkpoint=ckpt)
         assert acc == 1.0
 
-    def test_class_count_mismatch_rejected(self, tiny_run):
+    def test_single_step_runs_without_warmup(self, tiny_run):
         cfg, dataset, ckpt, _ = tiny_run
-        ckpt.meta["n_classes"] = 40
-        try:
-            with pytest.raises(ValueError, match="classes"):
-                finetune_classify(dataset, cfg, checkpoint=ckpt)
-        finally:
-            del ckpt.meta["n_classes"]
+        one_step = tiny_config(finetune_epochs=1, batch_size=64)
+        _, _, metrics = finetune_classify(dataset, one_step, checkpoint=ckpt)
+        assert [r["lr"] for r in metrics.records] == [one_step.finetune_lr]
 
     def test_accuracy_in_range_and_metrics(self, tiny_run):
         cfg, dataset, ckpt, _ = tiny_run
@@ -267,9 +264,9 @@ class TestFewshot:
         draws = []
         real_draw = params_mod.truncated_normal
 
-        def counted(rng, shape, std=0.02):
+        def counted(rng, shape):
             draws.append(tuple(shape))
-            return real_draw(rng, shape, std=std)
+            return real_draw(rng, shape)
 
         monkeypatch.setattr(params_mod, "truncated_normal", counted)
         want = fewshot_eval(ckpt, pool, 2, 1, runs=2, test_per_class=2, seed=6,
