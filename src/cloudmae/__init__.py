@@ -24,7 +24,7 @@ from .geometry import (PatchSet, PointCloud, batch_chamfer, build_patches,
 from .masking import (MaskSpec, block_mask, make_mask, masked_count,
                       random_mask, split_patches)
 from .model import (MaskedAutoencoder, PointCloudClassifier, TokenSequence,
-                    TransformerBlock, cross_entropy)
+                    TransformerBlock)
 from .params import AdamW, ParamStore, cosine_lr, read_container, write_container
 from .seeding import derive_rng, derive_seed
 from .training import (Checkpoint, Metrics, TrainingAbort, ablate_mask,

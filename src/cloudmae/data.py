@@ -7,6 +7,7 @@ whitespace-delimited XYZ text and ascii / binary-little-endian PLY.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -226,30 +227,45 @@ _PLY_SCALAR = {  # PLY property type -> struct / numpy type code
 def load_points(path):
     """Read a point cloud from XYZ text or PLY (ascii / binary LE)."""
     with open(path, "rb") as f:
-        head = f.read(4)
-    if head[:3] == b"ply":
-        return _load_ply(path)
-    return _load_xyz(path)
+        blob = f.read()
+    pts = _load_ply(path, blob) if blob[:3] == b"ply" else _text_rows(path, blob, 1, (0, 1, 2))
+    try:
+        return PointCloud(points=pts)
+    except ValueError as exc:  # a binary PLY with no or non-finite vertices
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_xyz(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected at least 3 columns, "
-                                 f"got {len(parts)}")
+def _text_rows(path, body, line, cols, width=None, count=None):
+    """(n, 3) float64 from columns ``cols`` of a text body's non-blank rows.
+
+    ``line`` numbers the body's first line. XYZ rows (``width`` None) need at
+    least 3 values; ascii-PLY vertex rows exactly ``width``, over the first
+    ``count`` rows. Only ``cols`` are parsed: a byte that is not utf-8 is an
+    error there and, like any token, ignored elsewhere. Rejections name
+    ``path:line``.
+    """
+    lines = body.decode("utf-8", "surrogateescape").splitlines()
+    rows = [(n, r) for n, r in enumerate(map(str.split, lines), line) if r][:count]
+    if len(rows) < (count or 1):  # named at the line after the last
+        raise ValueError(f"{path}:{line + len(lines)}: expected {count or 'at least 1'} "
+                         f"point rows, found {len(rows)}")
+    for n, r in rows:
+        if len(r) < 3 or (width is not None and len(r) != width):
+            raise ValueError(f"{path}:{n}: expected {width or 'at least 3'} values, got {len(r)}")
+    take = itemgetter(*cols)
+    try:
+        pts = np.array([v for _, r in rows for v in take(r)], dtype=np.float64).reshape(-1, 3)
+    except ValueError:  # the same conversion row by row names the line
+        for n, r in rows:
             try:
-                rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
+                np.array(take(r), dtype=np.float64)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
-    if not rows:
-        raise ValueError(f"{path}: no points found")
-    return PointCloud(points=np.array(rows))
+                raise ValueError(f"{path}:{n}: non-numeric coordinate in {take(r)}") from None
+        raise
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{rows[finite.argmin()][0]}: non-finite coordinate")
+    return pts
 
 
 def save_xyz(path, points):
@@ -262,9 +278,7 @@ def _write_rows(f, points, suffix=""):
     f.write((f"%.17g %.17g %.17g{suffix}\n" * len(points)) % tuple(points.ravel().tolist()))
 
 
-def _load_ply(path):
-    with open(path, "rb") as f:
-        blob = f.read()
+def _load_ply(path, blob):
     end = blob.find(b"end_header\n")
     if end < 0:
         raise ValueError(f"{path}: PLY header not terminated")
@@ -282,13 +296,13 @@ def _load_ply(path):
                 raise ValueError(f"{path}:{lineno}: unsupported PLY format")
             fmt = tokens[1]
         elif tokens[0] == "element":
-            if len(tokens) != 3:
+            if len(tokens) != 3 or not tokens[2].isdecimal():  # a count >= 0
                 raise ValueError(f"{path}:{lineno}: malformed element line")
             elements.append((tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:
                 raise ValueError(f"{path}:{lineno}: property before element")
-            if tokens[1] == "list":
+            if tokens[1:2] == ["list"]:
                 elements[-1][2].append((tokens[-1], "list"))
             else:
                 if len(tokens) != 3 or tokens[1] not in _PLY_SCALAR:
@@ -314,18 +328,7 @@ def _load_ply(path):
     cols = [names.index(c) for c in ("x", "y", "z")]
 
     if fmt == "ascii":
-        lines = [ln for ln in body.decode("ascii").splitlines() if ln.strip()]
-        if len(lines) < count:
-            raise ValueError(f"{path}: expected {count} vertex rows, "
-                             f"found {len(lines)}")
-        pts = np.empty((count, 3))
-        for i in range(count):
-            parts = lines[i].split()
-            if len(parts) != len(props):
-                raise ValueError(f"{path}: vertex row {i + 1} has {len(parts)} "
-                                 f"values, expected {len(props)}")
-            pts[i] = [float(parts[c]) for c in cols]
-        return PointCloud(points=pts)
+        return _text_rows(path, body, blob.count(b"\n", 0, end) + 2, cols, len(props), count)
 
     # packed little-endian records; fields are named by position, since a
     # header may repeat a property name
@@ -337,7 +340,7 @@ def _load_ply(path):
     rows = np.frombuffer(body, dtype=record, count=count)
     for j, c in enumerate(cols):
         pts[:, j] = rows[f"f{c}"]
-    return PointCloud(points=pts)
+    return pts
 
 
 def save_ply(path, point_groups, colors=None):
@@ -346,6 +349,8 @@ def save_ply(path, point_groups, colors=None):
     Each group gets a constant RGB color; coordinates are written as doubles
     so a read-back is exact.
     """
+    if isinstance(point_groups, np.ndarray):
+        raise ValueError("save_ply takes a list of point groups, not one array")
     groups = [np.asarray(g, dtype=np.float64).reshape(-1, 3) for g in point_groups]
     if colors is None:
         colors = [(180, 180, 180)] * len(groups)

@@ -323,11 +323,6 @@ class PointCloudClassifier:
             return self.head(self.features_batch(clouds, seeds))
 
 
-def cross_entropy(logits, label):
-    """Negative log-softmax of the target entry; logits is (1, n_classes)."""
-    return cross_entropy_batch(logits, [int(label)])
-
-
 def cross_entropy_batch(logits, labels):
     """Mean negative log-softmax over rows; logits (B, n_classes), labels (B,)."""
     b, n_classes = logits.shape

@@ -81,7 +81,6 @@ class Checkpoint:
             "epoch": epoch,
             "global_step": global_step,
             "opt_step_count": opt.step_count,
-            "seed": config.seed,
         }
         meta = json.loads(json.dumps(meta, sort_keys=True))  # normalize tuples
         return cls(

@@ -7,7 +7,7 @@ import pytest
 from cloudmae import cli
 from cloudmae.cli import build_parser, main
 from cloudmae.config import RunConfig, apply_overrides, desk_preset
-from cloudmae.data import load_points
+from cloudmae.data import SyntheticSpec, gen_synthetic, load_points, save_ply, save_xyz
 from cloudmae.params import write_container
 from cloudmae.training import Checkpoint, pretrain, reconstruct
 
@@ -134,6 +134,29 @@ def test_reconstruct_honours_mask_type(tmp_path, tiny_config_file, monkeypatch):
                "--mask-type", "block"])
     assert rc == 0
     assert reports[0]["mask"].anchor is not None
+
+
+def test_reconstruct_input_file(tmp_path, tiny_config_file, capsys):
+    cfg = RunConfig.from_json(tiny_config_file.read_text())
+    cfg.epochs = cfg.warmup_epochs = 0
+    ckpt_path = tmp_path / "init.bin"
+    pretrain(cfg)[0].save(ckpt_path)
+    points = gen_synthetic(SyntheticSpec(family="cone", points=96, seed=3)).points
+    args = ["reconstruct", "--config", str(tiny_config_file), "--checkpoint", str(ckpt_path),
+            "--out", str(tmp_path / "recon"), "--input"]
+    xyz = tmp_path / "cloud.xyz"
+    save_xyz(xyz, points)
+    assert main(args + [str(xyz)]) == 0
+    assert np.array_equal(load_points(tmp_path / "recon" / "input.ply").points, points)
+
+    bad = tmp_path / "corrupt.ply"
+    save_ply(bad, [points])
+    lines = bad.read_text().splitlines()
+    lines[11] = "0.5 oops 0.5 180 180 180"    # the second vertex row
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(args + [str(bad)]) == 1
+    assert f"{bad}:12: non-numeric coordinate" in capsys.readouterr().err
 
 
 def test_gen_data_writes_manifest(tmp_path, tiny_config_file):

@@ -1,3 +1,4 @@
+import re
 import struct
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cloudmae.config import DataSpec, SHAPE_FAMILIES
 from cloudmae.data import (_PLY_SCALAR, DatasetSplit, SyntheticSpec, _sample_cube, augment,
@@ -212,6 +214,19 @@ class TestPLY:
         with pytest.raises(ValueError, match="malformed element"):
             load_points(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("element vertex -1", "malformed element line"),
+        ("element vertex many", "malformed element line"),
+        ("property", "unsupported property type"),
+    ], ids=["negative_count", "word_count", "bare_property"])
+    def test_bad_header_line_names_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.ply"
+        path.write_text(f"ply\nformat ascii 1.0\nelement vertex 1\n{line}\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "end_header\n1 2 3\n4 5 6\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
+            load_points(path)
+
     def test_missing_coordinate_rejected(self, tmp_path):
         path = tmp_path / "noz.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
@@ -326,3 +341,155 @@ class TestSavePLYFormat:
         path = tmp_path_factory.mktemp("ply") / "out.ply"
         save_ply(path, arrays, colors=colors)
         assert path.read_bytes() == self.oracle(arrays, colors)
+
+
+_EXTREMES = [5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, -0.0, 0.0,
+             sys.float_info.min]
+_CLOUDS = hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from(_EXTREMES))
+
+
+def _inject_blanks(lines, at):
+    """Blank and whitespace-only lines inserted before the given row indices."""
+    out = list(lines)
+    for k, i in enumerate(sorted(at, reverse=True)):
+        out.insert(min(i, len(out)), ("", "  ", "\t")[k % 3])
+    return out
+
+
+class TestTextRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(pts=_CLOUDS, blanks=st.lists(st.integers(0, 13), max_size=4),
+           extra=st.lists(st.sampled_from(["255", "-1.5", "nan", "abc"]), max_size=3),
+           crlf=st.booleans())
+    def test_xyz_bit_exact(self, tmp_path_factory, pts, blanks, extra, crlf):
+        path = tmp_path_factory.mktemp("xyz") / "cloud.xyz"
+        save_xyz(path, pts)
+        rows = [" ".join([row] + extra) for row in path.read_text().splitlines()]
+        path.write_text(("\r\n" if crlf else "\n").join(_inject_blanks(rows, blanks)),
+                        newline="")
+        assert load_points(path).points.tobytes() == pts.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pts=_CLOUDS, cut=st.integers(0, 12), blanks=st.lists(st.integers(0, 13), max_size=4))
+    def test_ascii_ply_bit_exact(self, tmp_path_factory, pts, cut, blanks):
+        path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+        save_ply(path, [pts[:cut], pts[cut:]], colors=[(1, 2, 3), (4, 5, 6)])
+        header, body = path.read_text().split("end_header\n")
+        body = _inject_blanks(body.splitlines(), blanks)
+        path.write_text(header + "end_header\n" + "\n".join(body) + "\n")
+        assert load_points(path).points.tobytes() == pts.tobytes()
+
+
+def _corrupt_ply(path, lineno, row):
+    """A two-group ascii PLY of 5 vertices (body lines 11-15) with one line replaced."""
+    save_ply(path, [np.zeros((2, 3)), np.ones((3, 3))], colors=[(9, 9, 9), (7, 7, 7)])
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestAsciiPLYRows:
+    def test_ascii_ply_non_coordinate_column_is_not_parsed(self, tmp_path):
+        path = tmp_path / "odd.ply"
+        _corrupt_ply(path, 13, "1 1 1 red 7 7")
+        assert np.array_equal(load_points(path).points[2], [1.0, 1.0, 1.0])
+
+    def test_ascii_ply_coordinates_found_by_name(self, tmp_path):
+        path = tmp_path / "zxy.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty uchar red\n"
+                        "property double z\nproperty double x\nproperty double y\n"
+                        "end_header\n7 3 1 2\n8 6 4 5\n")
+        assert np.array_equal(load_points(path).points, [[1, 2, 3], [4, 5, 6]])
+
+    def test_ascii_ply_rows_after_the_vertices_are_not_read(self, tmp_path):
+        path = tmp_path / "mesh.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                        "property float y\nproperty float z\nelement face 1\n"
+                        "property list uchar int vertex_indices\nend_header\n"
+                        "0 0 0\n1 0 0\n\n0 1 0\n3 0 1 2\n")
+        assert np.array_equal(load_points(path).points, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+class TestTextErrors:
+    """Every rejected text file names path:line; nothing escapes as a bare error."""
+
+    @staticmethod
+    def names(path, line):
+        return "^" + re.escape(f"{path}:{line}: ")
+
+    def test_ascii_ply_non_numeric_names_line(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        _corrupt_ply(path, 12, "0 abc 0 9 9 9")
+        with pytest.raises(ValueError, match=self.names(path, 12) + "non-numeric"):
+            load_points(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_text_names_line(self, tmp_path, value):
+        xyz = tmp_path / "bad.xyz"
+        xyz.write_text(f"1 2 3\n\n4 {value} 6\n")
+        with pytest.raises(ValueError, match=self.names(xyz, 3) + "non-finite"):
+            load_points(xyz)
+        ply = tmp_path / "bad.ply"
+        _corrupt_ply(ply, 14, f"1 1 {value} 7 7 7")
+        with pytest.raises(ValueError, match=self.names(ply, 14) + "non-finite"):
+            load_points(ply)
+
+    def test_non_finite_binary_names_file(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                         b"property double x\nproperty double y\nproperty double z\n"
+                         b"end_header\n" + struct.pack("<6d", 1, 2, 3, 4, float("nan"), 6))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*non-finite"):
+            load_points(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1 1 1 7 7", "expected 6 values, got 5"),
+        ("1 1 1 7 7 7 7", "expected 6 values, got 7"),
+    ], ids=["short", "long"])
+    def test_ascii_ply_row_width_names_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.ply"
+        _corrupt_ply(path, 15, row)
+        with pytest.raises(ValueError, match=self.names(path, 15) + message):
+            load_points(path)
+
+    def test_ascii_ply_missing_rows_names_end(self, tmp_path):
+        path = tmp_path / "short.ply"
+        _corrupt_ply(path, 15, "")      # named at the line after the last
+        with pytest.raises(ValueError, match=self.names(path, 16) + "expected 5 point rows"):
+            load_points(path)
+
+    @pytest.mark.parametrize("text, line", [("", 1), ("\n  \n", 3)], ids=["empty", "blank"])
+    def test_xyz_without_rows_names_end(self, tmp_path, text, line):
+        path = tmp_path / "empty.xyz"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=self.names(path, line) + "expected at least 1"):
+            load_points(path)
+
+    def test_xyz_non_numeric_after_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("1 2 3\n\n\nx 2 3 4\n")
+        with pytest.raises(ValueError, match=self.names(path, 4) + "non-numeric"):
+            load_points(path)
+
+    @pytest.mark.parametrize("suffix, blob, line", [
+        ("xyz", b"1 2 3\n\n4 5 \xff\n", 3),
+        ("ply", b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                b"property float y\nproperty float z\nend_header\n1 2 \xc3\xa9\n", 8),
+    ], ids=["xyz", "ply"])
+    def test_non_ascii_coordinate_names_line(self, tmp_path, suffix, blob, line):
+        path = tmp_path / f"bad.{suffix}"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=self.names(path, line) + "non-numeric"):
+            load_points(path)
+
+    def test_bytes_outside_the_coordinates_are_not_parsed(self, tmp_path):
+        path = tmp_path / "odd.xyz"
+        path.write_bytes(b"1 2 3 \xff caf\xc3\xa9\n")
+        assert np.array_equal(load_points(path).points, [[1.0, 2.0, 3.0]])
+
+
+def test_save_ply_rejects_bare_array(tmp_path):
+    with pytest.raises(ValueError, match="list of point groups"):
+        save_ply(tmp_path / "x.ply", np.zeros((5, 3)), colors=[(1, 2, 3)])

@@ -8,8 +8,7 @@ from cloudmae.data import SyntheticSpec, gen_synthetic
 from cloudmae.geometry import batch_chamfer, build_patches
 from cloudmae.masking import random_mask, split_patches
 from cloudmae.model import (MaskedAutoencoder, PointCloudClassifier,
-                            TokenSequence, TransformerBlock, cross_entropy,
-                            cross_entropy_batch)
+                            TokenSequence, TransformerBlock, cross_entropy_batch)
 from cloudmae.params import ParamStore
 
 SMALL = BackboneConfig(dim=32, encoder_depth=2, decoder_depth=1, heads=4,
@@ -354,16 +353,16 @@ class TestClassifier:
 
 class TestCrossEntropy:
     def test_single_class_is_zero_loss(self):
-        assert float(cross_entropy(Tensor([[3.0]]), 0).data) == pytest.approx(0.0)
+        assert float(cross_entropy_batch(Tensor([[3.0]]), [0]).data) == pytest.approx(0.0)
 
     def test_uniform_logits(self):
-        loss = cross_entropy(Tensor([[0.0, 0.0, 0.0, 0.0]]), 2)
+        loss = cross_entropy_batch(Tensor([[0.0, 0.0, 0.0, 0.0]]), [2])
         assert float(loss.data) == pytest.approx(np.log(4))
 
     def test_batch_mean(self):
         logits = Tensor([[2.0, 0.0], [0.0, 2.0]])
         a = float(cross_entropy_batch(logits, [0, 1]).data)
-        b = float(cross_entropy(Tensor([[2.0, 0.0]]), 0).data)
+        b = float(cross_entropy_batch(Tensor([[2.0, 0.0]]), [0]).data)
         assert a == pytest.approx(b)
 
     def test_gradient(self):

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cloudmae.autodiff import Tensor
 from cloudmae.params import (AdamW, ParamStore, cosine_lr, read_container,
@@ -104,6 +107,25 @@ def test_param_store_roundtrip_bit_exact():
     assert meta == {"note": "x"}
     for name, value in store.state_arrays().items():
         assert value.tobytes() == other[name].data.tobytes()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(), lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(), kids, max_size=3), max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays=st.dictionaries(
+           st.text(min_size=1),
+           hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                      elements=st.floats(allow_subnormal=True)), max_size=4),
+       meta=st.dictionaries(st.text(), _JSON, max_size=4))
+def test_container_round_trip_bit_exact(arrays, meta):
+    got, got_meta = read_container(write_container(arrays, meta))
+    assert got_meta == meta and list(got) == list(arrays)
+    for name, value in arrays.items():
+        assert got[name].shape == value.shape and got[name].tobytes() == value.tobytes()
 
 
 def test_container_rejects_bad_magic_and_truncation():

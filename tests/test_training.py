@@ -86,6 +86,16 @@ class TestPretrain:
         assert resumed.to_bytes() == full_ckpt.to_bytes()
         assert mid.to_bytes() == mid_bytes      # resuming copies the moments
 
+    def test_checkpoint_with_legacy_seed_meta_loads_and_resumes(self, tiny_run):
+        _, _, ckpt, _ = tiny_run
+        assert set(ckpt.meta) == {"config", "epoch", "global_step", "opt_step_count"}
+        legacy = Checkpoint.from_bytes(ckpt.to_bytes())
+        legacy.meta["seed"] = legacy.meta["config"]["seed"]   # written by older versions
+        legacy = Checkpoint.from_bytes(legacy.to_bytes())
+        resumed, _ = pretrain(tiny_config(epochs=4), resume=legacy)
+        expected, _ = pretrain(tiny_config(epochs=4), resume=ckpt)
+        assert resumed.to_bytes() == expected.to_bytes()
+
     def test_resume_needs_epochs_left(self, tiny_run):
         _, _, ckpt, _ = tiny_run
         with pytest.raises(ValueError, match="epochs 3 leaves nothing to train after the "
