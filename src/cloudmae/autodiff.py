@@ -108,9 +108,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     except (TrainingAbort, NumericsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

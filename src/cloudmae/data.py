@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import SHAPE_FAMILIES
 from .geometry import PointCloud
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_seed
 
 
 @dataclass

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .embed import MaskToken, PatchEmbedder, PositionalMLP
+from .embed import MLP, MaskToken, PatchEmbedder, PositionalMLP
 from .geometry import batch_chamfer, build_patches
 from .masking import make_mask, split_patches
 from .params import ParamStore
@@ -64,7 +64,6 @@ class TransformerBlock:
         self.heads = heads
         self.head_dim = dim // heads
         self.scale = 1.0 / math.sqrt(self.head_dim)
-        hidden = mlp_ratio * dim
         p = prefix
         self.ln1_g = store.add(f"{p}.ln1.gain", (dim,), init="ones")
         self.ln1_b = store.add(f"{p}.ln1.bias", (dim,), init="zeros")
@@ -78,10 +77,7 @@ class TransformerBlock:
         self.bo = store.add(f"{p}.attn.out.b", (dim,), init="zeros")
         self.ln2_g = store.add(f"{p}.ln2.gain", (dim,), init="ones")
         self.ln2_b = store.add(f"{p}.ln2.bias", (dim,), init="zeros")
-        self.w_mlp1 = store.add(f"{p}.mlp.lin1.w", (dim, hidden))
-        self.b_mlp1 = store.add(f"{p}.mlp.lin1.b", (hidden,), init="zeros")
-        self.w_mlp2 = store.add(f"{p}.mlp.lin2.w", (hidden, dim))
-        self.b_mlp2 = store.add(f"{p}.mlp.lin2.b", (dim,), init="zeros")
+        self.mlp = MLP(store, f"{p}.mlp", dim, mlp_ratio * dim, dim)
 
     def _attention(self, h):
         # h is (..., s, dim); heads split to (..., heads, s, head_dim)
@@ -103,9 +99,7 @@ class TransformerBlock:
         if x.shape != pe.shape:
             raise ValueError(f"block: token shape {x.shape} != pe shape {pe.shape}")
         x = x + self._attention(ad.layer_norm(x + pe, self.ln1_g, self.ln1_b))
-        h = ad.gelu(ad.linear(ad.layer_norm(x, self.ln2_g, self.ln2_b),
-                              self.w_mlp1, self.b_mlp1))
-        return x + ad.linear(h, self.w_mlp2, self.b_mlp2)
+        return x + self.mlp(ad.layer_norm(x, self.ln2_g, self.ln2_b))
 
 
 def _run_stack(x, centers, pe_mlp, blocks, ln_g, ln_b):
@@ -119,20 +113,6 @@ def _run_stack(x, centers, pe_mlp, blocks, ln_g, ln_b):
 def _tape(train):
     """Context of a forward pass: the tape is recorded only when ``train``."""
     return nullcontext() if train else ad.no_grad()
-
-
-class ClassifierHead:
-    """Two-layer GELU MLP from pooled features to logits, on (B, in_dim) rows."""
-
-    def __init__(self, store, prefix, in_dim, hidden, n_out):
-        self.w1 = store.add(f"{prefix}.lin1.w", (in_dim, hidden))
-        self.b1 = store.add(f"{prefix}.lin1.b", (hidden,), init="zeros")
-        self.w2 = store.add(f"{prefix}.lin2.w", (hidden, n_out))
-        self.b2 = store.add(f"{prefix}.lin2.b", (n_out,), init="zeros")
-
-    def __call__(self, features):
-        h = ad.gelu(ad.linear(features, self.w1, self.b1))
-        return ad.linear(h, self.w2, self.b2)
 
 
 class MaskedAutoencoder:
@@ -265,7 +245,7 @@ class MaskedAutoencoder:
 
         with _tape(train):
             tokens = self.embed_batch(vis)
-            t_m = ad.broadcast_to(self.mask_token.param, (b, mn, self.cfg.dim))
+            t_m = self.mask_token.expand(b, mn)
             if self.cfg.mask_token_placement == "decoder":
                 x = ad.concat([self.encoder_stack(tokens, np.stack(vis_c)), t_m], axis=1)
                 x = self.decoder_stack(x, centers_all)
@@ -290,7 +270,7 @@ class PointCloudClassifier:
         self.store = ParamStore(seed)
         self.backbone = MaskedAutoencoder(cfg, patch_size, store=self.store,
                                           include_decoder=False)
-        self.head = ClassifierHead(self.store, "cls_head", 2 * cfg.dim, cfg.dim, n_classes)
+        self.head = MLP(self.store, "cls_head", 2 * cfg.dim, cfg.dim, n_classes)
 
     def load_backbone(self, arrays):
         """Load encoder/embedder weights from a pretraining checkpoint.

@@ -18,10 +18,10 @@ import numpy as np
 from .autodiff import NumericsError, Tensor, backward, no_grad
 from .config import RunConfig, apply_overrides
 from .data import augment, build_dataset, save_ply
+from .embed import MLP
 from .geometry import chamfer_l2
 from .masking import check_mask_ratio
-from .model import (ClassifierHead, MaskedAutoencoder, PointCloudClassifier,
-                    cross_entropy_batch)
+from .model import MaskedAutoencoder, PointCloudClassifier, cross_entropy_batch
 from .params import AdamW, ParamStore, cosine_lr, read_container, write_container
 from .seeding import derive_rng, derive_seed
 
@@ -61,7 +61,7 @@ class Metrics:
         return self.records[-1][key]
 
 
-_CHECKPOINT_META = ("config", "epoch", "global_step", "opt_step_count")
+_CHECKPOINT_META = ("config", "epoch", "opt_step_count")
 _CHECKPOINT_KINDS = ("param", "opt_m", "opt_v")  # array name prefixes, in file order
 
 
@@ -75,13 +75,8 @@ class Checkpoint:
     meta: dict
 
     @classmethod
-    def capture(cls, model, opt, config, epoch, global_step):
-        meta = {
-            "config": config.to_dict(),
-            "epoch": epoch,
-            "global_step": global_step,
-            "opt_step_count": opt.step_count,
-        }
+    def capture(cls, model, opt, config, epoch):
+        meta = {"config": config.to_dict(), "epoch": epoch, "opt_step_count": opt.step_count}
         meta = json.loads(json.dumps(meta, sort_keys=True))  # normalize tuples
         return cls(
             params={k: v.copy() for k, v in model.store.state_arrays().items()},
@@ -139,7 +134,7 @@ class Checkpoint:
                                  store=ParamStore.from_arrays(self.params))
 
     def resume(self, config):
-        """(model, AdamW, epoch, global_step) that continue this run under ``config``.
+        """(model, AdamW, epoch) that continue this run under ``config``.
 
         A ``config`` that differs from the stored one in anything but ``epochs``
         and ``out_dir`` raises a ``ValueError`` naming the fields.
@@ -157,7 +152,7 @@ class Checkpoint:
         opt.m = {k: self.opt_m[k].copy() for k in opt.m}
         opt.v = {k: self.opt_v[k].copy() for k in opt.v}
         opt.step_count = self.meta["opt_step_count"]
-        return model, opt, self.meta["epoch"], self.meta["global_step"]
+        return model, opt, self.meta["epoch"]
 
 
 def _flat(d, prefix=""):
@@ -185,9 +180,9 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
         model = MaskedAutoencoder(config.model, config.patch_size,
                                   seed=derive_seed(seed, "init"))
         opt = AdamW(model.store, lr=config.lr_max, weight_decay=config.weight_decay)
-        start_epoch = global_step = 0
+        start_epoch = 0
     else:
-        model, opt, start_epoch, global_step = resume.resume(config)
+        model, opt, start_epoch = resume.resume(config)
 
     steps_per_epoch = max(1, math.ceil(len(train) / config.batch_size))
     total_steps = config.epochs * steps_per_epoch
@@ -223,10 +218,9 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
                     f"non-finite loss at epoch {epoch}, batch seeds {item_seeds}: {exc}",
                     item_seed=item_seeds, epoch=epoch) from exc
             epoch_losses.extend([float(loss.data)] * batch.size)
-            lr = cosine_lr(global_step, total_steps, config.lr_max,
+            lr = cosine_lr(opt.step_count, total_steps, config.lr_max,
                            config.lr_min, warmup_steps)
             opt.step(lr=lr)
-            global_step += 1
         record = {
             "epoch": epoch,
             "loss_x1000": float(np.mean(epoch_losses)) * 1000.0,
@@ -238,10 +232,10 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
             print(f"epoch {epoch:4d}  loss(x1000) {record['loss_x1000']:9.4f}  "
                   f"lr {lr:.2e}")
         if out_path is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            Checkpoint.capture(model, opt, config, epoch + 1, global_step).save(
+            Checkpoint.capture(model, opt, config, epoch + 1).save(
                 out_path / f"checkpoint_{epoch + 1:04d}.bin")
 
-    final = Checkpoint.capture(model, opt, config, config.epochs, global_step)
+    final = Checkpoint.capture(model, opt, config, config.epochs)
     if out_path is not None:
         final.save(out_path / "checkpoint_final.bin")
         metrics.save(out_path / "metrics.jsonl")
@@ -277,7 +271,6 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
     steps_per_epoch = max(1, math.ceil(len(train) / config.batch_size))
     total_steps = config.finetune_epochs * steps_per_epoch
     warmup_steps = min(max(1, total_steps // 10), total_steps - 1)  # one step: no warmup
-    global_step = 0
     metrics = Metrics()
     lr = 0.0
     for epoch in range(config.finetune_epochs):
@@ -298,10 +291,9 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
             loss = cross_entropy_batch(logits, labels)
             backward(loss)
             epoch_losses.append(float(loss.data))
-            lr = cosine_lr(global_step, total_steps, config.finetune_lr,
+            lr = cosine_lr(opt.step_count, total_steps, config.finetune_lr,
                            config.lr_min, warmup_steps)
             opt.step(lr=lr)
-            global_step += 1
         metrics.append(epoch=epoch, loss_x1000=float(np.mean(epoch_losses)) * 1000.0,
                        lr=lr, wall_time=time.perf_counter() - t0)
         if not quiet:
@@ -395,7 +387,7 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
 def _train_fewshot_head(cfg, n_way, features, labels, seed, epochs):
     """Full-batch AdamW on the mean support cross-entropy, one step per epoch."""
     store = ParamStore(seed)
-    head = ClassifierHead(store, "fewshot_head", 2 * cfg.dim, cfg.dim, n_way)
+    head = MLP(store, "fewshot_head", 2 * cfg.dim, cfg.dim, n_way)
     opt = AdamW(store, lr=5e-4, weight_decay=0.0)
     for _ in range(epochs):
         store.zero_grad()

@@ -56,6 +56,28 @@ def test_missing_checkpoint_file_is_usage_error(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["fewshot", "--checkpoint", "{dir}"],
+    ["reconstruct", "--checkpoint", "{dir}", "--out", "{out}"],
+    ["reconstruct", "--checkpoint", "{ckpt}", "--input", "{dir}", "--out", "{out}"],
+    ["finetune", "--config", "{dir}"],
+], ids=["fewshot_checkpoint", "reconstruct_checkpoint", "reconstruct_input", "config"])
+def test_directory_in_place_of_a_file_exits_1(tmp_path, tiny_config_file, args, capsys):
+    cfg = RunConfig.from_json(tiny_config_file.read_text())
+    cfg.epochs = cfg.warmup_epochs = 0
+    ckpt_path = tmp_path / "init.bin"
+    pretrain(cfg)[0].save(ckpt_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    names = {"dir": folder, "out": tmp_path / "out", "ckpt": ckpt_path}
+    argv = [a.format(**names) for a in args]
+    if "--config" not in argv:
+        argv += ["--config", str(tiny_config_file)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err
+
+
 def test_pretrain_then_downstream_commands(tmp_path, tiny_config_file, capsys):
     out_dir = tmp_path / "run"
     rc = main(["pretrain", "--config", str(tiny_config_file),

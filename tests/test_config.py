@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from cloudmae.cli import main
 from cloudmae.config import SHAPE_FAMILIES, RunConfig, apply_overrides, desk_preset
 from cloudmae.data import build_dataset
+from cloudmae.model import MaskedAutoencoder
+from cloudmae.params import AdamW
 from cloudmae.seeding import derive_seed
-from cloudmae.training import finetune_classify, pretrain
+from cloudmae.training import Checkpoint, finetune_classify, pretrain
 
 
 def stored_dict(**model_extra):
@@ -148,3 +150,17 @@ def test_accepted_config_pretrains_and_finetunes(overrides):
     accuracy, _, metrics = finetune_classify(dataset, cfg, checkpoint=ckpt)
     assert 0.0 <= accuracy <= 1.0
     assert len(metrics.records) == cfg.finetune_epochs
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides=_tiny_overrides())
+def test_accepted_config_round_trips(overrides):
+    """Every config that builds equals itself after JSON and after a checkpoint."""
+    try:
+        cfg = desk_preset(**{**_TINY, **overrides})
+    except ValueError:
+        return
+    assert RunConfig.from_json(cfg.to_json()) == cfg
+    model = MaskedAutoencoder(cfg.model, cfg.patch_size)
+    ckpt = Checkpoint.capture(model, AdamW(model.store, lr=cfg.lr_max), cfg, epoch=0)
+    assert Checkpoint.from_bytes(ckpt.to_bytes()).config() == cfg

@@ -52,11 +52,11 @@ def concat_form(embed, patches):
     x = Tensor(patches)
     v, k, _ = x.shape
     w2 = embed.local_dim
-    h = ad.gelu(ad.linear(ad.reshape(x, (v * k, 3)), embed.w1, embed.b1))
-    h = ad.reshape(ad.linear(h, embed.w2, embed.b2), (v, k, w2))
+    h = ad.gelu(ad.linear(ad.reshape(x, (v * k, 3)), embed.stage1.w1, embed.stage1.b1))
+    h = ad.reshape(ad.linear(h, embed.stage1.w2, embed.stage1.b2), (v, k, w2))
     tiled = ad.broadcast_to(ad.reshape(ad.reduce_max(h, axis=1), (v, 1, w2)), (v, k, w2))
-    h = ad.gelu(ad.linear(ad.concat([tiled, h], axis=2), embed.w3, embed.b3))
-    return ad.reduce_max(ad.linear(h, embed.w4, embed.b4), axis=1)
+    h = ad.gelu(ad.linear(ad.concat([tiled, h], axis=2), embed.stage2.w1, embed.stage2.b1))
+    return ad.reduce_max(ad.linear(h, embed.stage2.w2, embed.stage2.b2), axis=1)
 
 
 def test_split_stage2_matches_concat_form(store):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestTransformerBlock:
         got = block(x, pe)
         mlp = ad.linear(ad.gelu(ad.linear(
             ad.layer_norm(x, block.ln2_g, block.ln2_b),
-            block.w_mlp1, block.b_mlp1)), block.w_mlp2, block.b_mlp2)
+            block.mlp.w1, block.mlp.b1)), block.mlp.w2, block.mlp.b2)
         assert np.allclose(got.data, (x + mlp).data, atol=1e-12)
 
     def test_pe_shape_mismatch_rejected(self):
@@ -350,6 +352,30 @@ class TestClassifier:
         with pytest.raises(KeyError):
             clf.load_backbone({"embed.stage1.lin1.w": np.zeros((3, 16))})
 
+
+
+def layout_digest(store):
+    """SHA-256 over parameter names, shapes and initial bytes, in registration order."""
+    digest = hashlib.sha256()
+    for name, value in store.state_arrays().items():
+        digest.update(f"{name}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestParameterLayout:
+    # checkpoints name their arrays and models draw their initial values in
+    # registration order, so a refactor that renames, reorders or reshapes a
+    # parameter, or draws one differently, changes these digests
+    @pytest.mark.parametrize("placement", ["decoder", "encoder"])
+    def test_autoencoder_layout_pinned(self, placement):
+        assert layout_digest(small_model(placement).store) == (
+            "5a777505d64ccfbdbb681e976f5474a5508810872f4ee0b8b1cd8ce39b4ea55f")
+
+    def test_classifier_layout_pinned(self):
+        clf = PointCloudClassifier(SMALL, patch_size=8, n_patches=8, n_classes=3, seed=0)
+        assert layout_digest(clf.store) == (
+            "a63bcbe7ec7ba34b7d3bb574c1f4512f27b705d4a4f42119caf5af29d4686209")
 
 class TestCrossEntropy:
     def test_single_class_is_zero_loss(self):

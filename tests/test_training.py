@@ -88,13 +88,26 @@ class TestPretrain:
 
     def test_checkpoint_with_legacy_seed_meta_loads_and_resumes(self, tiny_run):
         _, _, ckpt, _ = tiny_run
-        assert set(ckpt.meta) == {"config", "epoch", "global_step", "opt_step_count"}
+        assert set(ckpt.meta) == {"config", "epoch", "opt_step_count"}
         legacy = Checkpoint.from_bytes(ckpt.to_bytes())
         legacy.meta["seed"] = legacy.meta["config"]["seed"]   # written by older versions
         legacy = Checkpoint.from_bytes(legacy.to_bytes())
         resumed, _ = pretrain(tiny_config(epochs=4), resume=legacy)
         expected, _ = pretrain(tiny_config(epochs=4), resume=ckpt)
         assert resumed.to_bytes() == expected.to_bytes()
+
+    def test_checkpoint_with_legacy_global_step_meta_loads_and_resumes(self, tiny_run):
+        # older versions stored a step counter next to the optimizer's, always equal to it
+        _, _, ckpt, _ = tiny_run
+        legacy = Checkpoint.from_bytes(ckpt.to_bytes())
+        legacy.meta["global_step"] = legacy.meta["opt_step_count"]
+        legacy = Checkpoint.from_bytes(legacy.to_bytes())
+        assert legacy.meta["global_step"] == ckpt.meta["opt_step_count"]
+        resumed, resumed_metrics = pretrain(tiny_config(epochs=4), resume=legacy)
+        expected, expected_metrics = pretrain(tiny_config(epochs=4), resume=ckpt)
+        assert resumed.to_bytes() == expected.to_bytes()
+        assert (resumed_metrics.deterministic_records()
+                == expected_metrics.deterministic_records())
 
     def test_resume_needs_epochs_left(self, tiny_run):
         _, _, ckpt, _ = tiny_run
@@ -195,12 +208,12 @@ class TestCheckpoint:
 
     def test_meta_without_counters_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="meta lacks 'config', 'epoch', "
-                                             "'global_step', 'opt_step_count'"):
+                                             "'opt_step_count'"):
             Checkpoint.from_bytes(write_container({}, {}))
         path = tmp_path / "bare.bin"
         path.write_bytes(write_container({}, {"config": {}, "epoch": 0}))
         with pytest.raises(ValueError, match="bare.bin: checkpoint: meta lacks "
-                                             "'global_step', 'opt_step_count'"):
+                                             "'opt_step_count'$"):
             Checkpoint.load(path)
 
 
