@@ -241,15 +241,26 @@ def log(a):
 
 
 def gelu(a):
-    """Gaussian error linear unit, exact erf form."""
+    """Gaussian error linear unit, exact erf form, in place on its own temporaries.
+
+    The op order is that of ``x * (0.5 * (1 + erf(x * (1 / sqrt(2)))))``, bit for bit."""
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array also when x is 0-d
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
+        t = np.multiply(x, -0.5, out=np.empty_like(x))
+        t *= x
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI     # pdf
+        t *= x
+        t += cdf
+        t *= g
+        return (t,)
 
     return _result("gelu", data, (a,), vjp)
 
@@ -392,22 +403,53 @@ def sqdist(a, b):
     """Pairwise squared Euclidean distances.
 
     ``a`` is (..., p, d) and ``b`` is (..., q, d); the result is (..., p, q)
-    with entry [i, j] = ||a_i - b_j||^2, computed from explicit differences so
-    values are exactly non-negative.
+    with entry [i, j] = ||a_i - b_j||^2, a sum of squares (``pairwise_sqdist``)
+    so values are exactly non-negative. Only the vjp builds the (..., p, q, d)
+    difference array, so the tape does not hold it.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"sqdist: shapes {a.shape} and {b.shape} are incompatible")
-    diff = a.data[..., :, None, :] - b.data[..., None, :, :]
-    data = np.sum(diff * diff, axis=-1)
+    data = pairwise_sqdist(a.data, b.data)
 
     def vjp(g):
+        diff = a.data[..., :, None, :] - b.data[..., None, :, :]
         weighted = 2.0 * g[..., None] * diff
         ga = _unbroadcast(weighted.sum(axis=-2), a.shape)
         gb = _unbroadcast(-weighted.sum(axis=-3), b.shape)
         return (ga, gb)
 
     return _result("sqdist", data, (a, b), vjp)
+
+
+def pairwise_sqdist(a, b):
+    """Plain-numpy squared distances (..., m, q) of (..., m, d) and (..., q, d) arrays.
+
+    Leading axes broadcast. The sum runs per coordinate plane, dx*dx + dy*dy +
+    dz*dz in that order: for d < 8 the bits of ``np.sum(diff * diff, axis=-1)``
+    without its (..., m, q, d) difference array (numpy sums 8+ terms pairwise).
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    lead = max(a.ndim, b.ndim)
+    a, b = a[(None,) * (lead - a.ndim)], b[(None,) * (lead - b.ndim)]
+    return plane_sqdist(coordinate_planes(a)[..., :, None], coordinate_planes(b)[..., None, :])
+
+
+def coordinate_planes(x):
+    """(..., d) coordinates as d contiguous (...) coordinate planes."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def plane_sqdist(a, b):
+    """sum over c of (a[c] - b[c])**2 for broadcastable stacks of coordinate planes."""
+    d = a[0] - b[0]
+    d *= d
+    t = np.empty_like(d)
+    for c in range(1, a.shape[0]):
+        np.subtract(a[c], b[c], out=t)
+        t *= t
+        d += t
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, coordinate_planes, pairwise_sqdist, plane_sqdist
 
 
 @dataclass
@@ -69,33 +69,6 @@ class PatchSet:
         return [PatchSet(*arrays) for arrays in zip(*vars(self).values())]
 
 
-def pairwise_sqdist(a, b):
-    """Plain-numpy squared distances between (..., m, 3) and (..., q, 3) arrays.
-
-    Returns (..., m, q). The sum runs per coordinate plane, dx*dx + dy*dy +
-    dz*dz in that order, which gives the same bits as
-    ``np.sum(diff * diff, axis=-1)`` without the (..., m, q, 3) difference array.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return _plane_sqdist(_planes(a)[..., :, None], _planes(b)[..., None, :])
-
-
-def _planes(x):
-    """(..., 3) coordinates as three contiguous (...) coordinate planes."""
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
-
-
-def _plane_sqdist(a, b):
-    d = a[0] - b[0]
-    d *= d
-    for c in range(1, a.shape[0]):
-        t = a[c] - b[c]
-        t *= t
-        d += t
-    return d
-
-
 def farthest_point_sampling(cloud, n, seed=0, first_index=None):
     """Greedy max-min sampling of ``n`` center indices.
 
@@ -122,16 +95,16 @@ def farthest_point_sampling(cloud, n, seed=0, first_index=None):
     if first.shape != (b,) or np.any((first < 0) | (first >= p)):
         raise ValueError(f"fps: first indices {first.tolist()} outside [0, {p}) "
                          f"or not one per cloud")
-    planes = _planes(points)                     # 3 x B x p
+    planes = coordinate_planes(points)           # 3 x B x p
     rows = np.arange(b)
     chosen = np.empty((b, n), dtype=np.intp)
     chosen[:, 0] = first
-    min_d = _plane_sqdist(planes, planes[:, rows, first, None])
+    min_d = plane_sqdist(planes, planes[:, rows, first, None])
     for i in range(1, n):
         nxt = np.argmax(min_d, axis=1)           # argmax takes the lowest index on ties
         chosen[:, i] = nxt
         if i + 1 < n:
-            np.minimum(min_d, _plane_sqdist(planes, planes[:, rows, nxt, None]), out=min_d)
+            np.minimum(min_d, plane_sqdist(planes, planes[:, rows, nxt, None]), out=min_d)
     return chosen[0] if single else chosen
 
 

@@ -45,7 +45,9 @@ class ParamStore:
 
         A model built on it holds the same values as one built on a seeded
         store and then given ``load_arrays(arrays)``, without the RNG draws;
-        a registered name missing from ``arrays`` raises ``KeyError``.
+        a registered name missing from ``arrays`` raises ``KeyError``. The
+        arrays are shared, not copied: a parameter's ``data`` is the array
+        given, so whoever writes into it in place writes into ``arrays`` too.
         """
         store = cls.__new__(cls)
         store._params, store._rng, store._arrays = {}, None, arrays

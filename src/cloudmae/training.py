@@ -324,6 +324,10 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
     with the mean, the population standard deviation over runs, and the
     per-run accuracies. Each head trains with AdamW at lr 5e-4.
     """
+    counts = {"n_way": n_way, "m_shot": m_shot, "runs": runs, "test_per_class": test_per_class}
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"fewshot: {name} must be at least 1, got {value}")
     by_class = {}
     for cloud in pool:
         by_class.setdefault(cloud.label, []).append(cloud)
@@ -342,16 +346,15 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
     pool_index = {id(c): i for i, c in enumerate(pool)}
 
     def stacked(pairs):
-        """(m, 2*dim) features and labels of (cloud, label) pairs; features cached per cloud."""
-        rows = []
-        for cloud, _ in pairs:
-            key = pool_index[id(cloud)]
-            if key not in feature_cache:
-                with no_grad():
-                    feature_cache[key] = backbone.features_batch(
-                        [cloud], cfg.n_patches, [derive_seed(seed, "feat", key)]).data
-            rows.append(feature_cache[key])
-        return Tensor(np.concatenate(rows)), [y for _, y in pairs]
+        """(m, 2*dim) features and labels of (cloud, label) pairs; new clouds embed in one pass."""
+        keys = [pool_index[id(cloud)] for cloud, _ in pairs]
+        new = sorted(set(keys) - feature_cache.keys())
+        if new:
+            with no_grad():
+                feats = backbone.features_batch([pool[k] for k in new], cfg.n_patches,
+                                                [derive_seed(seed, "feat", k) for k in new]).data
+            feature_cache.update(zip(new, feats))
+        return Tensor(np.stack([feature_cache[k] for k in keys])), [y for _, y in pairs]
 
     labels_sorted = sorted(by_class.keys())
     accuracies = []
@@ -404,6 +407,8 @@ def ablate_mask(config: RunConfig, types=("random",), ratios=(0.4, 0.6, 0.8),
     seed and its cell index. ``encoder_cell`` adds the mask-tokens-at-encoder
     variant at the config's own ratio.
     """
+    if config.epochs < 1:
+        raise ValueError(f"ablation: epochs must be at least 1, got {config.epochs}")
     cells = [(t, r, "decoder") for t in types for r in ratios]
     if encoder_cell:
         cells.append(("random", config.mask_ratio, "encoder"))

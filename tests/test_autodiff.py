@@ -252,3 +252,73 @@ def test_backward_on_tape_free_loss_raises_graph_error():
     with pytest.raises(GraphError, match="no_grad"):
         backward(loss)
     assert w.grad is None
+
+
+def _explicit_sqdist(a, b, g):
+    """Squared distances and their vjp from the explicit (..., p, q, d) difference array."""
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    weighted = 2.0 * g[..., None] * diff
+    return (np.sum(diff * diff, axis=-1),
+            ad._unbroadcast(weighted.sum(axis=-2), a.shape),
+            ad._unbroadcast(-weighted.sum(axis=-3), b.shape))
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((256, 3), (256, 3)), ((8, 10, 16, 3), (8, 10, 16, 3)),   # reconstruction, pretraining
+    ((5, 3), (2, 4, 3)), ((3, 1, 5, 3), (4, 6, 3)),          # broadcast leading axes
+    ((6, 2), (7, 2))])
+def test_sqdist_bits_match_explicit_differences(shape_a, shape_b):
+    rng = np.random.default_rng(sum(shape_a + shape_b))
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    b[..., :2, :] = a.reshape(-1, a.shape[-1])[:2]    # coincident points: exact zeros
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    d = ad.sqdist(ta, tb)
+    g = rng.normal(size=d.shape)
+    backward(ad.reduce_sum(d * Tensor(g)))
+    want, want_ga, want_gb = _explicit_sqdist(a, b, g)
+    assert d.shape == want.shape and d.data.tobytes() == want.tobytes()
+    assert ta.grad.tobytes() == want_ga.tobytes() and tb.grad.tobytes() == want_gb.tobytes()
+    first = d.data[(0,) * (d.ndim - 2)]
+    assert first[0, 0] == 0.0 and first[1, 1] == 0.0
+
+
+def test_sqdist_forward_and_tape_hold_no_difference_array():
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.normal(size=(256, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(256, 3)), requires_grad=True)
+    result_bytes = 256 * 256 * 8                       # the difference array is 3x this
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = ad.sqdist(a, b)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.requires_grad
+    assert peak - base < 2.5 * result_bytes         # result plus one plane temporary
+    assert held - base < 1.5 * result_bytes         # the result only, no closure-held diff
+
+
+def _plain_gelu(x, g):
+    """GELU forward and vjp as the plain erf formula."""
+    from scipy.special import erf
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+@pytest.mark.parametrize("shape", [(512, 64), (7,), ()])
+def test_gelu_bits_match_plain_formula_and_inputs_stay(shape):
+    rng = np.random.default_rng(4)
+    x = np.asarray(rng.normal(size=shape) * 4.0)
+    g = np.asarray(rng.normal(size=shape))
+    x0, g0 = x.copy(), g.copy()
+    t = Tensor(x, requires_grad=True)
+    y = ad.gelu(t)
+    (gx,) = y._vjp(g)
+    want_y, want_gx = _plain_gelu(x0, g0)
+    assert y.data.tobytes() == want_y.tobytes() and gx.tobytes() == want_gx.tobytes()
+    assert t.data.tobytes() == x0.tobytes() and g.tobytes() == g0.tobytes()
+    (again,) = y._vjp(g)                     # the closure's cdf was left intact
+    assert again.tobytes() == want_gx.tobytes()

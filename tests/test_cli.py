@@ -265,3 +265,28 @@ def test_pretrain_of_zero_epochs_writes_checkpoint_and_exits_0(tmp_path, tiny_co
     out = capsys.readouterr().out
     assert "final loss" not in out and "checkpoint_final.bin" in out
     assert Checkpoint.load(tmp_path / "run" / "checkpoint_final.bin").meta["epoch"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--n-way", "--m-shot", "--test-per-class"])
+def test_fewshot_count_below_one_exits_1(tmp_path, tiny_config_file, flag, capsys):
+    cfg = RunConfig.from_json(tiny_config_file.read_text())
+    ckpt_path = tmp_path / "ckpt.bin"
+    pretrain(apply_overrides(cfg, epochs=1, warmup_epochs=0))[0].save(ckpt_path)
+    argv = ["fewshot", "--config", str(tiny_config_file), "--checkpoint", str(ckpt_path),
+            "--n-way", "2", "--m-shot", "1", "--runs", "1", "--test-per-class", "2"]
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{flag[2:].replace('-', '_')} must be at least 1, got 0" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_ablate_mask_of_zero_epochs_exits_1(tmp_path, tiny_config_file, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(apply_overrides(RunConfig.from_json(tiny_config_file.read_text()),
+                                    epochs=0, warmup_epochs=0).to_json())
+    rc = main(["ablate-mask", "--config", str(path), "--ratios", "0.5",
+               "--no-encoder-cell", "--out", str(tmp_path / "abl")])
+    assert rc == 1
+    assert "epochs must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "abl" / "ablation.json").exists()

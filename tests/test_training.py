@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from cloudmae.autodiff import NumericsError
+from cloudmae.autodiff import NumericsError, no_grad
 from cloudmae.config import RunConfig, desk_preset
 from cloudmae.data import build_dataset, gen_synthetic, load_points, SyntheticSpec
 from cloudmae.geometry import PointCloud
@@ -198,6 +198,18 @@ class TestCheckpoint:
                                              f"does not match param/ at '{name}'$"):
             Checkpoint.load(path)
 
+    def test_using_a_checkpoint_leaves_it_unchanged(self, tiny_run):
+        cfg, dataset, _, _ = tiny_run
+        ckpt, _ = pretrain(tiny_config(epochs=2))
+        blob = ckpt.to_bytes()
+        finetune_classify(dataset, cfg, checkpoint=ckpt)
+        assert ckpt.to_bytes() == blob
+        pretrain(tiny_config(epochs=3), resume=ckpt)
+        assert ckpt.to_bytes() == blob
+        fewshot_eval(ckpt, dataset.train + dataset.test, 2, 1, runs=2, test_per_class=2,
+                     head_epochs=2)
+        assert ckpt.to_bytes() == blob
+
     def test_build_model_missing_parameter_raises(self, tiny_run):
         _, _, ckpt, _ = tiny_run
         params = dict(ckpt.params)
@@ -312,6 +324,48 @@ class TestFewshot:
                            head_epochs=3)
         assert got["per_run"] == want["per_run"]
 
+    def test_batched_features_match_per_cloud_bits(self, tiny_run):
+        cfg, dataset, ckpt, _ = tiny_run
+        clouds = dataset.train[:3] + dataset.test[:3]
+        seeds = [derive_seed(7, "feat", i) for i in range(len(clouds))]
+        backbone = ckpt.build_model()
+        with no_grad():
+            batch = backbone.features_batch(clouds, cfg.n_patches, seeds).data
+            for row, cloud, seed in zip(batch, clouds, seeds):
+                one = backbone.features_batch([cloud], cfg.n_patches, [seed]).data
+                assert one.tobytes() == row.tobytes()
+
+    def test_one_feature_pass_per_stacked_call_with_new_clouds(self, tiny_run, monkeypatch):
+        cfg, dataset, ckpt, _ = tiny_run
+        pool = dataset.train + dataset.val + dataset.test
+        want = fewshot_eval(ckpt, pool, 2, 1, runs=3, test_per_class=2, seed=8,
+                            head_epochs=2)
+        calls = []
+        real = MaskedAutoencoder.features_batch
+
+        def counted(model, clouds, n_patches, seeds):
+            keys = [next(i for i, c in enumerate(pool) if c is cloud) for cloud in clouds]
+            calls.append(keys)
+            assert seeds == [derive_seed(8, "feat", k) for k in keys]
+            return real(model, clouds, n_patches, seeds)
+
+        monkeypatch.setattr(MaskedAutoencoder, "features_batch", counted)
+        got = fewshot_eval(ckpt, pool, 2, 1, runs=3, test_per_class=2, seed=8,
+                           head_epochs=2)
+        assert got["per_run"] == want["per_run"]
+        # supports then queries per run; a call holds only clouds no earlier call embedded
+        assert 2 <= len(calls) <= 6 and len(calls[0]) == 2 and len(calls[1]) == 4
+        assert all(keys == sorted(set(keys)) for keys in calls)
+        flat = [k for keys in calls for k in keys]
+        assert len(flat) == len(set(flat))
+
+    @pytest.mark.parametrize("name", ["n_way", "m_shot", "runs", "test_per_class"])
+    def test_counts_below_one_rejected(self, tiny_run, name):
+        _, dataset, ckpt, _ = tiny_run
+        counts = {"n_way": 2, "m_shot": 1, "runs": 1, "test_per_class": 2, name: 0}
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            fewshot_eval(ckpt, dataset.train + dataset.test, **counts)
+
     def test_insufficient_items_names_class(self, tiny_run):
         cfg, dataset, ckpt, _ = tiny_run
         pool = dataset.train
@@ -393,6 +447,14 @@ class TestAblate:
             ablate_mask(tiny_config(), ratios=(0.5, 1.0), encoder_cell=False)
         with pytest.raises(ValueError, match="bad mask_type 'diagonal'"):
             ablate_mask(tiny_config(), types=("random", "diagonal"), ratios=(0.5,))
+
+    def test_zero_epochs_rejected_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained before epochs was checked")
+
+        monkeypatch.setattr("cloudmae.training.pretrain", no_training)
+        with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
+            ablate_mask(tiny_config(epochs=0, warmup_epochs=0), ratios=(0.5,))
 
     def test_grid_includes_encoder_cell(self):
         cfg = tiny_config(epochs=1, warmup_epochs=0)
