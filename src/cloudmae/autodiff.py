@@ -325,17 +325,28 @@ def concat(tensors, axis=0):
 
 
 def gather(a, indices, axis=0):
-    """Select rows along ``axis`` by integer index; duplicates accumulate in backward."""
+    """Select rows along ``axis`` by integer index; duplicates accumulate in backward.
+
+    Backward adds ``g`` into zeros, so a zero row takes ``0.0 + g`` (``-0.0``
+    becomes ``0.0``). 1-D indices naming distinct rows add with one fancy
+    ``+=``; duplicates, including a negative index aliasing a positive one,
+    take ``np.add.at``. Both give the same bits.
+    """
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < -a.shape[axis] or idx.max() >= a.shape[axis]):
+    n = a.shape[axis]
+    if idx.size and (idx.min() < -n or idx.max() >= n):
         raise ShapeError(f"gather: index out of range for axis {axis} of {a.shape}")
     data = np.take(a.data, idx, axis=axis)
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        moved = np.moveaxis(ga, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        moved, g = np.moveaxis(ga, axis, 0), np.moveaxis(g, axis, 0)
+        rows = idx % n
+        if idx.ndim == 1 and np.unique(rows).size == rows.size:
+            moved[rows] += g
+        else:
+            np.add.at(moved, idx, g)
         return (ga,)
 
     return _result("gather", data, (a,), vjp, check=False)
@@ -373,30 +384,37 @@ def matmul(a, b):
 
 
 def linear(x, weight, bias):
-    """x @ weight + bias; x is (..., in), weight is (in, out), bias is (out,).
+    """x @ weight + bias; x is (..., in) and weight is (in, out).
 
     All leading axes of ``x`` are flattened into the rows of one GEMM, so the
-    weight gradient is one GEMM too rather than a per-item sum.
+    weight gradient is one GEMM too rather than a per-item sum. ``bias`` is
+    (out,) or any shape that broadcasts to the (..., out) result without
+    enlarging it, such as a per-item (v, 1, out) term; it is added in place.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if weight.ndim != 2 or bias.shape != (weight.shape[1],):
-        raise ShapeError(
-            f"linear: weight {weight.shape} and bias {bias.shape} are inconsistent")
+    if weight.ndim != 2:
+        raise ShapeError(f"linear: weight {weight.shape} is not 2-D")
     if x.ndim < 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
     n_in, n_out = weight.shape
+    shape = x.shape[:-1] + (n_out,)
+    dims = zip(bias.shape[::-1], shape[::-1])
+    if bias.ndim > len(shape) or any(b not in (1, o) for b, o in dims):
+        raise ShapeError(f"linear: bias {bias.shape} does not broadcast to output {shape}")
     x2 = x.data.reshape(math.prod(x.shape[:-1]), n_in)
-    data = x2 @ weight.data
+    data = (x2 @ weight.data).reshape(shape)
     data += bias.data
 
     def vjp(g):
         g2 = g.reshape(x2.shape[0], n_out)
         gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
         gw = x2.T @ g2 if weight.requires_grad else None
-        gb = g2.sum(axis=0) if bias.requires_grad else None
+        gb = None
+        if bias.requires_grad:
+            gb = g2.sum(axis=0) if bias.shape == (n_out,) else _unbroadcast(g, bias.shape)
         return (gx, gw, gb)
 
-    return _result("linear", data.reshape(x.shape[:-1] + (n_out,)), (x, weight, bias), vjp)
+    return _result("linear", data, (x, weight, bias), vjp)
 
 
 def sqdist(a, b):

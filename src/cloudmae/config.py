@@ -6,6 +6,7 @@ CPU) and ``paper`` (the full-scale configuration for users with real data).
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_origin
 
 from .masking import check_mask_ratio
 
@@ -20,7 +21,7 @@ class BackboneConfig:
     heads: int = 6
     mlp_ratio: int = 4
     mask_token_placement: str = "decoder"  # decoder | encoder (ablation)
-    embed_widths: tuple = (128, 256, 512)  # patch embedder stage widths
+    embed_widths: tuple[int, ...] = (128, 256, 512)  # patch embedder stage widths
 
     def __post_init__(self):
         if self.dim < 1 or self.heads < 1:
@@ -39,7 +40,7 @@ class BackboneConfig:
 
 @dataclass
 class DataSpec:
-    families: tuple = SHAPE_FAMILIES
+    families: tuple[str, ...] = SHAPE_FAMILIES
     train_per_class: int = 10
     val_per_class: int = 10
     test_per_class: int = 10
@@ -104,7 +105,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Build from a dict; unknown fields raise a ValueError naming them."""
+        """Build from a dict; unknown or wrongly typed fields raise a ValueError naming them."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got {d!r}")
+        for section in ("model", "data"):
+            if section in d and not isinstance(d[section], dict):
+                raise ValueError(f"config field {section} must be an object, got {d[section]!r}")
         d = dict(d)
         if "model" in d:
             model = dict(d["model"])
@@ -121,12 +127,30 @@ class RunConfig:
         return cls.from_dict(json.loads(text))
 
 
+_EXPECTED = {int: "an int", float: "an int or a float", str: "a str"}
+
+
 def _build(cls, values, prefix):
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError("unknown config fields: "
                          + ", ".join(prefix + name for name in unknown))
+    for f in fields(cls):
+        if f.name in values and not _fits(values[f.name], f.type):
+            expected = (f"a list of {get_args(f.type)[0].__name__}"
+                        if get_origin(f.type) is tuple else _EXPECTED[f.type])
+            raise ValueError(f"config field {prefix}{f.name} must be {expected}, "
+                             f"got {values[f.name]!r}")
     return cls(**values)
+
+
+def _fits(value, kind):
+    """Whether ``value`` may fill a field annotated ``kind``; a bool is never a number."""
+    if get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, get_args(kind)[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def desk_preset(**overrides):

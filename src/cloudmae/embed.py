@@ -37,10 +37,11 @@ class PatchEmbedder:
 
     The concatenation is never built. With W3 = [W3_pool; W3_point] split by
     rows, concat([tile(pool), h]) @ W3 + b3 = h @ W3_point + (pool @ W3_pool
-    + b3), so the pooled term is one (v, w3) GEMM broadcast over the k points
-    and the point term halves the stage-2 GEMM. W3 stays one (2*w2, w3)
-    parameter, ``stage2.w1``, so parameter names and the checkpoint layout
-    are unchanged.
+    + b3), so the pooled term is one (v, w3) GEMM and the point term halves
+    the stage-2 GEMM. The pooled term enters that GEMM as a (v, 1, w3) bias
+    broadcast over the k points and added in place, so no second (v, k, w3)
+    array is made. W3 stays one (2*w2, w3) parameter, ``stage2.w1``, so
+    parameter names and the checkpoint layout are unchanged.
     """
 
     def __init__(self, store, dim, widths=(128, 256, 512)):
@@ -56,13 +57,13 @@ class PatchEmbedder:
             raise ValueError(f"patch embedder expects (v, k, 3), got {x.shape}")
         v, k, _ = x.shape
         w2 = self.local_dim
-        h = self.stage1(ad.reshape(x, (v * k, 3)))                  # v*k x w2
-        pooled = ad.reduce_max(ad.reshape(h, (v, k, w2)), axis=1)  # v x w2
+        h = ad.reshape(self.stage1(ad.reshape(x, (v * k, 3))), (v, k, w2))
+        pooled = ad.reduce_max(h, axis=1)                              # v x w2
         w3_pool = ad.gather(self.stage2.w1, np.arange(w2))
         w3_point = ad.gather(self.stage2.w1, np.arange(w2, 2 * w2))
         g = ad.reshape(ad.linear(pooled, w3_pool, self.stage2.b1), (v, 1, -1))
-        h = ad.reshape(ad.matmul(h, w3_point), (v, k, -1)) + g     # v x k x w3
-        return ad.reduce_max(self.stage2.from_hidden(h), axis=1)   # v x dim
+        h = ad.linear(h, w3_point, g)                                  # v x k x w3
+        return ad.reduce_max(self.stage2.from_hidden(h), axis=1)      # v x dim
 
 
 class PositionalMLP:

@@ -113,15 +113,32 @@ def knn(cloud, centers, k):
 
     ``cloud`` is one PointCloud with (n, 3) centers, giving (n, k), or a
     (B, p, 3) array of B clouds with (B, n, 3) centers, giving (B, n, k).
-    One stable argsort over the squared distances sorts each row ascending,
-    ties broken by lowest index; a center that coincides with a source point
-    includes that point at distance zero.
+    Each row holds the first k entries of a stable argsort of the squared
+    distances: ascending, ties broken by lowest index; a center that
+    coincides with a source point includes that point at distance zero.
+
+    A partial selection (``argpartition``) picks k candidates per row, which
+    are then ordered by index and stable-sorted by distance. That equals the
+    full sort unless the selection left out a point tied with its k-th
+    distance, so exactly those rows (and ``k == p``) take the full sort.
     """
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    if k > points.shape[-2]:
-        raise ValueError(f"knn: k={k} exceeds cloud size {points.shape[-2]}")
+    p = points.shape[-2]
+    if not 1 <= k <= p:
+        raise ValueError(f"knn: need 1 <= k <= p, got k={k}, p={p}")
     d = pairwise_sqdist(centers, points)
-    return np.argsort(d, axis=-1, kind="stable")[..., :k].astype(np.intp)
+    if k == p:
+        return np.argsort(d, axis=-1, kind="stable")
+    rows = d.reshape(-1, p)
+    part = np.argpartition(rows, k - 1, axis=1)
+    kth = np.take_along_axis(rows, part[:, k - 1:k], axis=1)
+    sel = np.sort(part[:, :k], axis=1)
+    sel_d = np.take_along_axis(rows, sel, axis=1)
+    order = np.take_along_axis(sel, np.argsort(sel_d, axis=1, kind="stable"), axis=1)
+    tied = np.count_nonzero(rows == kth, axis=1) > np.count_nonzero(sel_d == kth, axis=1)
+    if tied.any():
+        order[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k]
+    return order.reshape(d.shape[:-1] + (k,))
 
 
 def build_patches(cloud, n, k, seed=0):

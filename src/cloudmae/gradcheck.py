@@ -90,6 +90,13 @@ def _check_linear_const_x(rng):
     return lambda: ad.reduce_sum(ad.linear(x, w_, b) * w), (w_, b)
 
 
+def _check_linear_bias_broadcast(rng):
+    # a per-item bias broadcast over the middle axis, as the patch embedder's pooled term
+    x, w_, b = _t(rng, 2, 3, 4), _t(rng, 4, 5), _t(rng, 2, 1, 5)
+    w = _proj(rng, (2, 3, 5))
+    return lambda: ad.reduce_sum(ad.linear(x, w_, b) * w), (x, w_, b)
+
+
 def _check_reshape(rng):
     a = _t(rng, 4, 6)
     w = _proj(rng, (3, 8))
@@ -113,6 +120,13 @@ def _check_gather(rng):
     idx = rng.integers(0, 6, size=5)  # duplicates exercise accumulation
     w = _proj(rng, (5, 3))
     return lambda: ad.reduce_sum(ad.gather(a, idx, axis=0) * w), (a,)
+
+
+def _check_gather_unique(rng):
+    a = _t(rng, 3, 6)
+    idx = rng.permutation(6)[:4] - 3  # distinct rows, some named by negative indices
+    w = _proj(rng, (3, 4))
+    return lambda: ad.reduce_sum(ad.gather(a, idx, axis=1) * w), (a,)
 
 
 def _check_broadcast_to(rng):
@@ -195,10 +209,12 @@ OP_CHECKS = {
     "linear": _check_linear,
     "linear_3d": _check_linear_3d,
     "linear_const_x": _check_linear_const_x,
+    "linear_bias_broadcast": _check_linear_bias_broadcast,
     "reshape": _check_reshape,
     "transpose": _check_transpose,
     "concat": _check_concat,
     "gather": _check_gather,
+    "gather_unique": _check_gather_unique,
     "broadcast_to": _check_broadcast_to,
     "softmax": _check_softmax,
     "layer_norm": _check_layer_norm,

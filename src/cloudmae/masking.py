@@ -46,12 +46,12 @@ class MaskSpec:
 
 
 def _fisher_yates_prefix(n, count, rng):
-    # classic shuffle; the first `count` entries are a uniform subset
-    idx = np.arange(n)
-    for i in range(n - 1):
-        j = int(rng.integers(i, n))
+    # classic shuffle; the first `count` entries are a uniform subset. One call
+    # draws every swap target j_i in [i, n), the same stream as n - 1 scalar draws.
+    idx = list(range(n))
+    for i, j in enumerate(rng.integers(np.arange(n - 1), n).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:count]
+    return np.array(idx[:count], dtype=np.intp)
 
 
 def random_mask(n, ratio, seed):

@@ -102,6 +102,13 @@ class Checkpoint:
         missing = [key for key in _CHECKPOINT_META if key not in meta]
         if missing:
             raise ValueError(f"checkpoint: meta lacks {', '.join(map(repr, missing))}")
+        for key in ("epoch", "opt_step_count"):
+            if isinstance(meta[key], bool) or not isinstance(meta[key], int) or meta[key] < 0:
+                raise ValueError(f"checkpoint: meta {key!r} must be a non-negative int, "
+                                 f"got {meta[key]!r}")
+        if not isinstance(meta["config"], dict):
+            raise ValueError(f"checkpoint: meta 'config' must be an object, "
+                             f"got {meta['config']!r}")
         shapes = {k: v.shape for k, v in groups["param"].items()}
         for kind in _CHECKPOINT_KINDS[1:]:
             moments = {k: v.shape for k, v in groups[kind].items()}

@@ -189,6 +189,47 @@ def test_gather_accumulates_duplicate_indices():
     assert np.array_equal(x.grad, [[0, 0], [2, 2], [1, 1]])
 
 
+def test_gather_unique_rows_backward_matches_add_at_bits():
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(4, 3, 5))  # upstream gradient, gathered axis first
+    g[0, 1] = -0.0
+    g[:, :, 2] = -0.0
+    for axis, idx in [(0, [3, 0, -1, 1]), (1, [4, -5, 2, 0]), (2, [2, 2, 0, -1])]:
+        shape = [3, 5]
+        shape.insert(axis, 6)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        upstream = np.moveaxis(g, 0, axis)
+        backward(ad.reduce_sum(ad.mul(ad.gather(x, idx, axis=axis), Tensor(upstream))))
+        want = np.zeros_like(x.data)
+        np.add.at(np.moveaxis(want, axis, 0), np.asarray(idx), g)
+        assert x.grad.tobytes() == want.tobytes()
+
+
+def test_linear_broadcast_bias_matches_matmul_plus_add_bits():
+    rng = np.random.default_rng(9)
+    x, w = rng.normal(size=(5, 7, 4)), rng.normal(size=(4, 6))
+    upstream = Tensor(rng.normal(size=(5, 7, 6)))
+    for bias_shape in [(5, 1, 6), (1, 7, 6), (7, 1), (6,), ()]:
+        bias = rng.normal(size=bias_shape)
+        results = []
+        for fused in (True, False):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, bias))
+            if fused:
+                out = ad.linear(xt, wt, bt)
+            else:
+                out = ad.reshape(ad.matmul(ad.reshape(xt, (35, 4)), wt), (5, 7, 6)) + bt
+            backward(ad.reduce_sum(ad.mul(out, upstream)))
+            results.append([t.tobytes() for t in (out.data, xt.grad, wt.grad, bt.grad)])
+        assert results[0] == results[1], bias_shape
+
+
+@pytest.mark.parametrize("bias_shape", [(5, 7, 6), (2, 5, 1, 6), (7,), (5, 2, 6)])
+def test_linear_bias_that_would_enlarge_output_rejected(bias_shape):
+    x, w = Tensor(np.zeros((5, 1, 4))), Tensor(np.zeros((4, 6)))
+    with pytest.raises(ShapeError, match="linear: bias"):
+        ad.linear(x, w, Tensor(np.zeros(bias_shape)))
+
+
 def test_dropout_eval_is_identity_and_train_scales():
     x = Tensor(np.ones((4, 4)), requires_grad=True)
     out = ad.dropout(x, 0.5, train=False)

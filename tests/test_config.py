@@ -98,6 +98,42 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
     assert "model.width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, name, expected", [
+    ("dim", "a", "model.dim", "an int"),
+    ("dim", True, "model.dim", "an int"),
+    ("dim", 96.0, "model.dim", "an int"),
+    ("seed", None, "seed", "an int"),
+    ("lr_max", True, "lr_max", "an int or a float"),
+    ("lr_max", "1e-3", "lr_max", "an int or a float"),
+    ("mask_type", 3, "mask_type", "a str"),
+    ("embed_widths", 64, "model.embed_widths", "a list of int"),
+    ("embed_widths", [64, "128", 256], "model.embed_widths", "a list of int"),
+    ("families", "cube", "data.families", "a list of str"),
+    ("families", ["cube", 1], "data.families", "a list of str"),
+])
+def test_wrongly_typed_field_rejected(key, value, name, expected):
+    with pytest.raises(ValueError, match=f"config field {name} must be {expected}, got"):
+        desk_preset(**{key: value})
+
+
+@pytest.mark.parametrize("d, name", [([1], "config"), ({"model": 3}, "config field model"),
+                                     ({"data": None}, "config field data")])
+def test_section_that_is_not_an_object_rejected(d, name):
+    with pytest.raises(ValueError, match=f"{name} must be an object"):
+        RunConfig.from_dict(d)
+
+
+def test_int_accepted_in_float_field():
+    assert desk_preset(lr_max=1, noise_sigma=0).lr_max == 1
+
+
+def test_cli_wrongly_typed_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"model": {"dim": "a"}}')
+    assert main(["finetune", "--config", str(path)]) == 1
+    assert "config field model.dim must be an int, got 'a'" in capsys.readouterr().err
+
+
 # a tiny config that runs in well under a second; each example overrides a few fields
 _TINY = dict(epochs=1, warmup_epochs=0, batch_size=4, train_per_class=1, val_per_class=0,
              test_per_class=1, families=("sphere", "cube"), points=32, n_patches=4,

@@ -107,6 +107,32 @@ class TestKNN:
         with pytest.raises(ValueError):
             knn(cloud, cloud.points[:1], 5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        cloud = random_cloud(np.random.default_rng(0), 4)
+        with pytest.raises(ValueError, match=f"knn: need 1 <= k <= p, got k={k}, p=4"):
+            knn(cloud, cloud.points[:1], k)
+
+    def test_ties_at_kth_distance_match_stable_sort(self):
+        # a 4x4x4 grid, half of it duplicated, plus 32 off-grid points, shuffled:
+        # centers on grid points see shells of tied distances, off-grid
+        # centers see only the duplicates tie
+        rng = np.random.default_rng(5)
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        points = np.stack([np.concatenate([grid, grid[:32], rng.uniform(0, 3, size=(32, 3))])
+                           [rng.permutation(128)] for _ in range(3)])
+        centers = np.concatenate([points[:, :6], rng.uniform(0, 3, size=(3, 6, 3))], axis=1)
+        d = pairwise_sqdist(centers, points)
+        want = np.argsort(d, axis=-1, kind="stable")
+        ordered = np.sort(d, axis=-1)
+        for k in (1, 2, 5, 9, 16, 33, 127, 128):
+            assert np.array_equal(knn(points, centers, k), want[..., :k])
+            if k < 128:  # rows whose k-th distance is shared past the k-th place
+                straddle = ordered[..., k - 1] == ordered[..., k]
+                assert straddle.any() and not straddle.all(), k
+        for b in range(3):
+            assert np.array_equal(knn(PointCloud(points[b]), centers[b], 9), want[b, :, :9])
+
 
 class TestPatches:
     def test_center_has_zero_offset(self):

@@ -53,6 +53,19 @@ class TestRandomMask:
         assert np.all(np.diff(spec.masked) > 0)
         assert np.all(np.diff(spec.visible) > 0)
 
+    def test_matches_scalar_draw_shuffle(self):
+        # reference: Fisher-Yates with one scalar draw per swap
+        for n in (1, 2, 3, 5, 16, 17, 64):
+            for seed in range(150):
+                rng = np.random.default_rng(seed)
+                idx = np.arange(n)
+                for i in range(n - 1):
+                    j = int(rng.integers(i, n))
+                    idx[i], idx[j] = idx[j], idx[i]
+                for ratio in (0.0, 0.6, 0.9):
+                    want = np.sort(idx[:masked_count(n, ratio)])
+                    assert random_mask(n, ratio, seed).masked.tolist() == want.tolist()
+
     def test_empirical_frequency(self):
         n, m, trials = 16, 0.5, 600
         hits = np.zeros(n)

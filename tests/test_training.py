@@ -228,6 +228,18 @@ class TestCheckpoint:
                                              "'opt_step_count'$"):
             Checkpoint.load(path)
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("epoch", "1", "'1'"), ("epoch", -1, "-1"), ("epoch", True, "True"),
+        ("opt_step_count", "6", "'6'"), ("opt_step_count", 1.5, "1.5"),
+        ("config", [], r"\[\]")])
+    def test_malformed_meta_named(self, tiny_run, key, value, shown):
+        _, _, ckpt, _ = tiny_run
+        bad = Checkpoint(**{**vars(ckpt), "meta": {**ckpt.meta, key: value}})
+        kind = "an object" if key == "config" else "a non-negative int"
+        with pytest.raises(ValueError, match=f"^checkpoint: meta '{key}' must be {kind}, "
+                                             f"got {shown}$"):
+            Checkpoint.from_bytes(bad.to_bytes())
+
 
 class TestMetrics:
     def test_epochs_strictly_increasing(self):
