@@ -133,18 +133,8 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        return mul(self, power(other, -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(_as_tensor(other), power(self, -1.0))
-
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -328,22 +318,25 @@ def gather(a, indices, axis=0):
     """Select rows along ``axis`` by integer index; duplicates accumulate in backward.
 
     Backward adds ``g`` into zeros, so a zero row takes ``0.0 + g`` (``-0.0``
-    becomes ``0.0``). 1-D indices naming distinct rows add with one fancy
-    ``+=``; duplicates, including a negative index aliasing a positive one,
+    becomes ``0.0``). Indices of any shape naming distinct rows add with one
+    fancy ``+=``; duplicates, including a negative index aliasing a positive one,
     take ``np.add.at``. Both give the same bits.
     """
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     n = a.shape[axis]
+    axis %= a.ndim
     if idx.size and (idx.min() < -n or idx.max() >= n):
         raise ShapeError(f"gather: index out of range for axis {axis} of {a.shape}")
     data = np.take(a.data, idx, axis=axis)
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        moved, g = np.moveaxis(ga, axis, 0), np.moveaxis(g, axis, 0)
+        # the index's axes of g go to the front, where add.at expects them
+        moved = np.moveaxis(ga, axis, 0)
+        g = np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim))
         rows = idx % n
-        if idx.ndim == 1 and np.unique(rows).size == rows.size:
+        if np.unique(rows).size == rows.size:
             moved[rows] += g
         else:
             np.add.at(moved, idx, g)

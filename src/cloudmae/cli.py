@@ -114,13 +114,13 @@ def main(argv=None) -> int:
 
 def _dispatch(args):
     if args.command == "gradcheck":
+        if args.trials < 1:
+            raise _UsageError(f"--trials must be at least 1, got {args.trials}")
         results = run_gradient_suite(trials=args.trials)
-        ok = True
+        width = max(map(len, results))
         for name, err in sorted(results.items()):
-            status = "ok" if err < 1e-4 else "FAIL"
-            ok = ok and err < 1e-4
-            print(f"{name:<16} max rel err {err:.3e}  {status}")
-        return 0 if ok else 2
+            print(f"{name:<{width}} max rel err {err:.3e}  {'ok' if err < 1e-4 else 'FAIL'}")
+        return 0 if all(err < 1e-4 for err in results.values()) else 2
 
     cfg = _resolve_config(args)
     out_dir = cfg.out_dir

@@ -1,10 +1,13 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from cloudmae import autodiff as ad
 from cloudmae.autodiff import (GraphError, NumericsError, ShapeError, Tensor,
                                backward, gradient_check)
-from cloudmae.gradcheck import OP_CHECKS
+from cloudmae.gradcheck import OP_CHECKS, run_gradient_suite
 from cloudmae.params import ParamStore
 
 
@@ -205,6 +208,26 @@ def test_gather_unique_rows_backward_matches_add_at_bits():
         assert x.grad.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("axis, idx", [
+    (1, 2), (1, -4), (0, 0), (-1, 3),                   # scalar: the axis is dropped
+    (1, [[0, 3], [1, 1]]), (1, [[4, -2], [0, 1]]),      # 2-D, duplicates and distinct
+    (2, [[-1, 5], [2, 0], [1, -6]]), (-2, [[3], [-2]]),
+])
+def test_gather_backward_any_index_shape_matches_add_at_bits(axis, idx):
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(3, 6, 6)), requires_grad=True)
+    out = ad.gather(x, idx, axis=axis)
+    assert out.data.tobytes() == np.take(x.data, idx, axis=axis).tobytes()
+    upstream = rng.normal(size=out.shape)
+    backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+    lead = np.ndim(idx)
+    start = axis % 3
+    want = np.zeros_like(x.data)
+    np.add.at(np.moveaxis(want, axis, 0), np.asarray(idx),
+              np.moveaxis(upstream, range(start, start + lead), range(lead)))
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_linear_broadcast_bias_matches_matmul_plus_add_bits():
     rng = np.random.default_rng(9)
     x, w = rng.normal(size=(5, 7, 4)), rng.normal(size=(4, 6))
@@ -266,6 +289,30 @@ def test_no_grad_records_no_tape_and_same_values(name, monkeypatch):
         assert t._vjp is None and t._parents == () and not t.requires_grad
     assert out.data.tobytes() == recorded.tobytes()
     assert all(t.requires_grad for t in tensors)   # leaves keep their flag
+
+
+def test_every_op_has_a_finite_difference_row(monkeypatch):
+    source = inspect.getsource(ad)
+    tags = set(re.findall(r'_(?:result|reduce_extreme)\("(\w+)"', source))
+    assert {"neg", "gather", "reduce_max", "dropout"} <= tags
+    seen = set()
+    result = ad._result
+
+    def spy(op, *args, **kwargs):
+        seen.add(op)
+        return result(op, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_result", spy)
+    for builder in OP_CHECKS.values():
+        fn, _ = builder(np.random.default_rng(0))
+        fn()
+    assert tags - seen == set()
+
+
+def test_gradient_suite_rejects_fewer_than_one_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            run_gradient_suite(trials=trials)
 
 
 def test_no_grad_nests_and_restores_after_exception():

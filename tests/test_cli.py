@@ -30,6 +30,14 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "matmul" in out and "FAIL" not in out
+    assert len({line.index("max rel err") for line in out.splitlines()}) == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_fewer_than_one_trial_exits_1(trials, capsys):
+    assert main(["gradcheck", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err and captured.out == ""
 
 
 def test_usage_error_exit_code():
