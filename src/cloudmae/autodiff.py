@@ -15,8 +15,13 @@ without closures or inputs, so a forward-only pass keeps no activation alive
 beyond the tensors it returns. The context nests and restores the previous
 state on exit, also after an exception.
 
-All results are checked for NaN/Inf at creation; a non-finite value raises
-``NumericsError`` instead of propagating.
+Each op, each ``Tensor(...)`` and each gradient that backward computes or
+sums is checked for NaN/Inf, and a non-finite value raises ``NumericsError``
+naming the op. ``run_deferred`` skips these per-op checks for a whole pass and
+checks only what leaves it. On a non-finite output it replays the pass with the
+per-op checks on, so the abort still names the first op that went wrong; the
+replay recomputes instead of keeping state (arXiv 1604.06174). Training steps
+and forward-only model passes run this way.
 """
 
 import math
@@ -34,7 +39,11 @@ class ShapeError(ValueError):
 
 
 class NumericsError(ArithmeticError):
-    """An op produced NaN or Inf."""
+    """An op produced NaN or Inf; ``op`` names it (None when unknown)."""
+
+    def __init__(self, message, op=None):
+        super().__init__(message)
+        self.op = op
 
 
 class GraphError(RuntimeError):
@@ -42,6 +51,7 @@ class GraphError(RuntimeError):
 
 
 _recording = True   # False inside no_grad()
+_deferred = False   # True inside run_deferred's pass: only its outputs are checked
 
 
 @contextmanager
@@ -55,9 +65,42 @@ def no_grad():
         _recording = previous
 
 
+@contextmanager
+def _deferring():
+    """Per-op finiteness checks off, restored on exit."""
+    global _deferred
+    previous, _deferred = _deferred, True
+    try:
+        # the outputs' check reports what floating-point warnings would have
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _deferred = previous
+
+
 def _check_finite(data, op):
-    if not np.isfinite(data).all():
-        raise NumericsError(f"{op}: produced non-finite values")
+    if not _deferred and not np.isfinite(data).all():
+        raise NumericsError(f"{op}: produced non-finite values", op=op)
+
+
+def run_deferred(fn, outputs):
+    """``fn()`` with the per-op finiteness checks deferred to what leaves it.
+
+    ``outputs(result)`` is a dict of named arrays. If one holds NaN or Inf,
+    ``fn()`` runs again with per-op checks, so the first op that made a
+    non-finite value raises ``NumericsError``. That replay is exact only if
+    ``fn`` is deterministic and its first run changed nothing it reads. A
+    replay that raises nothing raises ``NumericsError`` naming the output.
+    Values are the same with the checks on or off. The replay runs in the
+    caller's mode, so a deferred pass must not run inside another one.
+    """
+    with _deferring():
+        result = fn()
+    for name, data in outputs(result).items():
+        if not np.isfinite(data).all():
+            fn()
+            raise NumericsError(f"{name}: non-finite values that no op check caught", op=name)
+    return result
 
 
 class Tensor:
@@ -240,6 +283,9 @@ def gelu(a):
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    if not _recording:
+        cdf *= x          # no vjp keeps cdf, and cdf * x is x * cdf bit for bit
+        return _result("gelu", cdf, (a,), None)
     data = x * cdf
 
     def vjp(g):
@@ -638,15 +684,20 @@ def backward(loss):
             continue
         if vjp is None:
             # leaf: accumulate across backward calls
-            node.grad = g if node.grad is None else node.grad + g
+            if node.grad is not None:
+                g = node.grad + g
+                _check_finite(g, "backward(leaf)")
+            node.grad = g
             continue
+        op = f"backward({node._op})"
         for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            _check_finite(pg, f"backward({node._op})")
+            _check_finite(pg, op)
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg
+                _check_finite(grads[key], op)   # two finite halves can overflow
             else:
                 grads[key] = pg
 

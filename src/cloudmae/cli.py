@@ -2,7 +2,7 @@
 
 Subcommands: pretrain, finetune, fewshot, ablate-mask, reconstruct,
 gradcheck, gen-data; each accepts only the flags it reads. Exit codes: 0
-success, 1 usage error, 2 numerical failure (NaN abort).
+success, 1 usage error, 2 numerical failure (a NaN/Inf abort naming its op).
 """
 
 import argparse
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (TrainingAbort, NumericsError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure in op {exc.op}: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,14 +15,16 @@ and one decoder stack. The per-instance methods (``pretrain_forward``,
 batch of one.
 
 The ``train`` flag of the forward passes says whether a backward will follow.
-With ``train=False`` the pass runs under ``autodiff.no_grad``: the same ops in
-the same order, so the outputs are bit-identical, but no tape is recorded and
-no activation outlives the pass. A loss computed that way cannot be
-differentiated; ``backward`` on it raises ``GraphError``.
+With ``train=False`` the pass runs through ``forward_only``: under
+``autodiff.no_grad`` and ``autodiff.run_deferred``, the same ops in the same
+order, so the outputs are bit-identical, but no tape is recorded, no activation
+outlives the pass, and only the returned tensors are checked for NaN/Inf. A
+loss computed that way cannot be differentiated; ``backward`` on it raises
+``GraphError``. With ``train=True`` the caller's checks apply: the training
+step checks its loss and gradients.
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +112,14 @@ def _run_stack(x, centers, pe_mlp, blocks, ln_g, ln_b):
     return ad.layer_norm(x, ln_g, ln_b)
 
 
-def _tape(train):
-    """Context of a forward pass: the tape is recorded only when ``train``."""
-    return nullcontext() if train else ad.no_grad()
+def forward_only(forward, outputs):
+    """``forward()`` without a tape, checked for NaN/Inf only at ``outputs(result)``.
+
+    ``outputs`` maps the result to a dict of named arrays; a non-finite one
+    replays the pass with per-op checks (``autodiff.run_deferred``).
+    """
+    with ad.no_grad():
+        return ad.run_deferred(forward, outputs)
 
 
 class MaskedAutoencoder:
@@ -243,7 +250,7 @@ class MaskedAutoencoder:
         b, v, mn = len(clouds), vis.shape[1], gt.shape[1]
         centers_all = np.stack(all_c)              # B x (v+mn) x 3
 
-        with _tape(train):
+        def forward():
             tokens = self.embed_batch(vis)
             t_m = self.mask_token.expand(b, mn)
             if self.cfg.mask_token_placement == "decoder":
@@ -252,7 +259,13 @@ class MaskedAutoencoder:
             else:
                 x = self.encoder_stack(ad.concat([tokens, t_m], axis=1), centers_all)
             predicted = self.predict(ad.gather(x, np.arange(v, v + mn), axis=1))
-            loss = batch_chamfer(predicted, Tensor(gt)) if mn else Tensor(0.0)
+            return (batch_chamfer(predicted, Tensor(gt)) if mn else Tensor(0.0)), predicted
+
+        if train:
+            loss, predicted = forward()
+        else:
+            loss, predicted = forward_only(
+                forward, lambda out: {"loss": out[0].data, "predicted": out[1].data})
         return loss, {"visible_count": v, "masked_count": mn, "patchsets": patchsets,
                       "masks": masks, "predicted": predicted.data, "target": gt}
 
@@ -299,8 +312,10 @@ class PointCloudClassifier:
         Inference by default: the pass records a tape only with
         ``train=True``, which a caller that runs backward must pass.
         """
-        with _tape(train):
+        def forward():
             return self.head(self.features_batch(clouds, seeds))
+
+        return forward() if train else forward_only(forward, lambda out: {"logits": out.data})
 
 
 def cross_entropy_batch(logits, labels):

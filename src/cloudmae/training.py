@@ -15,24 +15,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NumericsError, Tensor, backward, no_grad
+from .autodiff import NumericsError, Tensor, backward, no_grad, run_deferred
 from .config import RunConfig, apply_overrides
 from .data import augment, build_dataset, save_ply
 from .embed import MLP
 from .geometry import chamfer_l2
 from .masking import check_mask_ratio
-from .model import MaskedAutoencoder, PointCloudClassifier, cross_entropy_batch
+from .model import MaskedAutoencoder, PointCloudClassifier, cross_entropy_batch, forward_only
 from .params import AdamW, ParamStore, cosine_lr, read_container, write_container
 from .seeding import derive_rng, derive_seed
 
 
 class TrainingAbort(RuntimeError):
-    """Raised on NaN/Inf during training; carries the offending batch seed."""
+    """Raised on NaN/Inf during training; carries the batch seeds and the failing op."""
 
-    def __init__(self, message, item_seed=None, epoch=None):
+    def __init__(self, message, item_seed=None, epoch=None, op=None):
         super().__init__(message)
         self.item_seed = item_seed
         self.epoch = epoch
+        self.op = op
 
 
 @dataclass
@@ -162,6 +163,29 @@ class Checkpoint:
         return model, opt, self.meta["epoch"]
 
 
+def _train_step(store, forward):
+    """Zero the gradients, run ``forward()`` and the backward of its loss; return the loss.
+
+    The per-op finiteness checks are deferred: only the loss and each
+    parameter's gradient are checked. A non-finite one clears the gradients
+    and replays the step with per-op checks, so the first bad op raises
+    ``NumericsError``. The replay is exact, since the optimizer has not yet
+    touched the parameters and ``forward`` reuses its inputs and seeds.
+    """
+    def step():
+        store.zero_grad()
+        loss = forward()
+        if loss.requires_grad:
+            backward(loss)
+        return loss
+
+    def outputs(loss):
+        grads = {f"{name}.grad": t.grad for name, t in store.items() if t.grad is not None}
+        return {"loss": loss.data, **grads}
+
+    return run_deferred(step, outputs)
+
+
 def _flat(d, prefix=""):
     """Nested config dict -> {"model.dim": ..., "seed": ...}."""
     out = {}
@@ -176,8 +200,8 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
 
     Per batch: augment, patchify, mask, forward, backward, AdamW step under a
     warmup+cosine schedule. Logs the per-epoch mean loss (x1000). A NaN/Inf
-    raises TrainingAbort with the offending item seed; with ``out_dir`` set, a
-    diagnostic dump is written first.
+    raises TrainingAbort with the batch's item seeds and the op that made it;
+    with ``out_dir`` set, ``abort.json`` records them first.
     """
     seed = config.seed
     if dataset is None:
@@ -209,21 +233,18 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
             batch = order[b * config.batch_size:(b + 1) * config.batch_size]
             if batch.size == 0:
                 continue
-            model.store.zero_grad()
             item_seeds = [derive_seed(seed, "item", epoch, int(idx)) for idx in batch]
             clouds = [augment(train[idx], derive_seed(s, "aug"))
                       for idx, s in zip(batch, item_seeds)]
             try:
-                loss, _ = model.pretrain_forward_batch(
+                loss = _train_step(model.store, lambda: model.pretrain_forward_batch(
                     clouds, config.n_patches, config.mask_ratio,
-                    seeds=item_seeds, mask_type=config.mask_type)
-                if loss.requires_grad:
-                    backward(loss)
+                    seeds=item_seeds, mask_type=config.mask_type)[0])
             except NumericsError as exc:
                 _dump_abort(out_path, epoch, item_seeds, exc)
                 raise TrainingAbort(
                     f"non-finite loss at epoch {epoch}, batch seeds {item_seeds}: {exc}",
-                    item_seed=item_seeds, epoch=epoch) from exc
+                    item_seed=item_seeds, epoch=epoch, op=exc.op) from exc
             epoch_losses.extend([float(loss.data)] * batch.size)
             lr = cosine_lr(opt.step_count, total_steps, config.lr_max,
                            config.lr_min, warmup_steps)
@@ -254,7 +275,7 @@ def _dump_abort(out_path, epoch, item_seed, exc):
         return
     out_path.mkdir(parents=True, exist_ok=True)
     (out_path / "abort.json").write_text(json.dumps({
-        "epoch": epoch, "item_seed": item_seed, "error": str(exc)}, indent=2))
+        "epoch": epoch, "item_seed": item_seed, "op": exc.op, "error": str(exc)}, indent=2))
 
 
 def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None = None,
@@ -288,15 +309,13 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
             batch = order[b * config.batch_size:(b + 1) * config.batch_size]
             if batch.size == 0:
                 continue
-            clf.store.zero_grad()
             # patch views are fixed per item; only the augmentation varies
             view_seeds = [derive_seed(seed, "view", int(idx)) for idx in batch]
             clouds = [augment(train[idx], derive_seed(seed, "aug", epoch, int(idx)))
                       for idx in batch]
             labels = [label_pos[train[idx].label] for idx in batch]
-            logits = clf.logits_batch(clouds, view_seeds, train=True)
-            loss = cross_entropy_batch(logits, labels)
-            backward(loss)
+            loss = _train_step(clf.store, lambda: cross_entropy_batch(
+                clf.logits_batch(clouds, view_seeds, train=True), labels))
             epoch_losses.append(float(loss.data))
             lr = cosine_lr(opt.step_count, total_steps, config.finetune_lr,
                            config.lr_min, warmup_steps)
@@ -357,9 +376,10 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
         keys = [pool_index[id(cloud)] for cloud, _ in pairs]
         new = sorted(set(keys) - feature_cache.keys())
         if new:
-            with no_grad():
-                feats = backbone.features_batch([pool[k] for k in new], cfg.n_patches,
-                                                [derive_seed(seed, "feat", k) for k in new]).data
+            feats = forward_only(
+                lambda: backbone.features_batch([pool[k] for k in new], cfg.n_patches,
+                                                [derive_seed(seed, "feat", k) for k in new]),
+                lambda out: {"features": out.data}).data
             feature_cache.update(zip(new, feats))
         return Tensor(np.stack([feature_cache[k] for k in keys])), [y for _, y in pairs]
 
@@ -400,8 +420,7 @@ def _train_fewshot_head(cfg, n_way, features, labels, seed, epochs):
     head = MLP(store, "fewshot_head", 2 * cfg.dim, cfg.dim, n_way)
     opt = AdamW(store, lr=5e-4, weight_decay=0.0)
     for _ in range(epochs):
-        store.zero_grad()
-        backward(cross_entropy_batch(head(features), labels))
+        _train_step(store, lambda: cross_entropy_batch(head(features), labels))
         opt.step()
     return head
 

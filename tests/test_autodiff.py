@@ -410,3 +410,59 @@ def test_gelu_bits_match_plain_formula_and_inputs_stay(shape):
     assert t.data.tobytes() == x0.tobytes() and g.tobytes() == g0.tobytes()
     (again,) = y._vjp(g)                     # the closure's cdf was left intact
     assert again.tobytes() == want_gx.tobytes()
+    with ad.no_grad():
+        free = ad.gelu(t)                    # no closure: the result is cdf, scaled in place
+    assert free.data.tobytes() == want_y.tobytes() and t.data.tobytes() == x0.tobytes()
+    assert free.data.shape == x0.shape and not np.shares_memory(free.data, t.data)
+
+
+def test_backward_checks_where_two_partial_gradients_meet():
+    w = Tensor([1e-300], requires_grad=True)
+    c = Tensor([1e308])
+    loss = ad.reduce_sum(w * c) + ad.reduce_sum(w * c)     # 2e8, but dloss/dw = 2e308
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="backward") as info:
+        backward(loss)
+    assert info.value.op == "backward(mul)"
+
+
+def test_backward_checks_gradient_accumulation_across_calls():
+    w = Tensor([1e-300], requires_grad=True)
+    c = Tensor([1e308])
+    backward(ad.reduce_sum(w * c))
+    assert w.grad.tolist() == [1e308]
+    with np.errstate(over="ignore"), pytest.raises(NumericsError) as info:
+        backward(ad.reduce_sum(w * c))
+    assert info.value.op == "backward(leaf)"
+
+
+def test_run_deferred_checks_only_outputs_and_replays_to_name_the_op():
+    calls = []
+
+    def fn():
+        calls.append(ad._deferred)
+        big = ad.exp(Tensor([1e9, 0.0]))        # inf, caught only when it leaves
+        return ad.reduce_min(big), ad.log(Tensor([-1.0]) * big)
+
+    with pytest.raises(NumericsError, match="exp") as info:
+        ad.run_deferred(fn, lambda out: {"min": out[0].data, "log": out[1].data})
+    assert info.value.op == "exp" and calls == [True, False] and not ad._deferred
+    low, _ = ad.run_deferred(fn, lambda out: {"min": out[0].data})
+    assert low.data == 1.0 and calls[2:] == [True]
+    with pytest.raises(NumericsError, match="log"):  # the per-op checks are back
+        ad.log(Tensor([-1.0]))
+
+
+def test_run_deferred_ignores_float_errors_inside_and_names_an_uncaught_output():
+    modes = []
+
+    def fn():
+        modes.append(np.geterr()["over"])
+        out = ad.reduce_sum(Tensor([1.0]))
+        out.data = np.array(np.nan)          # no op made the NaN: the replay blames none
+        return out
+
+    before = np.geterr()
+    with pytest.raises(NumericsError, match="^loss: ") as info:
+        ad.run_deferred(fn, lambda out: {"loss": out.data})
+    assert info.value.op == "loss" and np.geterr() == before
+    assert modes == ["ignore", before["over"]]
