@@ -179,15 +179,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .autodiff import NumericsError
-from .config import RunConfig, apply_overrides, load_preset
+from .config import SHAPE_FAMILIES, RunConfig, apply_overrides, load_preset
 from .data import build_dataset, gen_synthetic, load_points, save_xyz, SyntheticSpec
 from .gradcheck import run_gradient_suite
 from .seeding import derive_seed
@@ -191,7 +191,7 @@ def _dispatch(args):
             split_dir.mkdir(parents=True, exist_ok=True)
             entries = []
             for i, cloud in enumerate(getattr(dataset, split)):
-                family = cfg.data.families[cloud.label]
+                family = SHAPE_FAMILIES[cloud.label]
                 path = split_dir / f"{family}_{i:04d}.xyz"
                 save_xyz(path, cloud.points)
                 entries.append({"file": str(path.relative_to(root)),

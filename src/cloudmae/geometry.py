@@ -120,15 +120,13 @@ def knn(cloud, centers, k):
     A partial selection (``argpartition``) picks k candidates per row, which
     are then ordered by index and stable-sorted by distance. That equals the
     full sort unless the selection left out a point tied with its k-th
-    distance, so exactly those rows (and ``k == p``) take the full sort.
+    distance, so exactly those rows take the full sort.
     """
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     p = points.shape[-2]
     if not 1 <= k <= p:
         raise ValueError(f"knn: need 1 <= k <= p, got k={k}, p={p}")
     d = pairwise_sqdist(centers, points)
-    if k == p:
-        return np.argsort(d, axis=-1, kind="stable")
     rows = d.reshape(-1, p)
     part = np.argpartition(rows, k - 1, axis=1)
     kth = np.take_along_axis(rows, part[:, k - 1:k], axis=1)

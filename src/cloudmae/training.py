@@ -207,6 +207,8 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
     if dataset is None:
         dataset = build_dataset(config.data, config.points, derive_seed(seed, "dataset"))
     train = dataset.train
+    if not train:
+        raise ValueError("pretrain: the train split is empty")
     if resume is None:
         model = MaskedAutoencoder(config.model, config.patch_size,
                                   seed=derive_seed(seed, "init"))
@@ -215,7 +217,7 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
     else:
         model, opt, start_epoch = resume.resume(config)
 
-    steps_per_epoch = max(1, math.ceil(len(train) / config.batch_size))
+    steps_per_epoch = math.ceil(len(train) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.warmup_epochs * steps_per_epoch
 
@@ -231,8 +233,6 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
         epoch_losses = []
         for b in range(steps_per_epoch):
             batch = order[b * config.batch_size:(b + 1) * config.batch_size]
-            if batch.size == 0:
-                continue
             item_seeds = [derive_seed(seed, "item", epoch, int(idx)) for idx in batch]
             clouds = [augment(train[idx], derive_seed(s, "aug"))
                       for idx, s in zip(batch, item_seeds)]
@@ -286,8 +286,11 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
     from scratch. No masking and no augmentation at evaluation time.
     Returns (accuracy, classifier, Metrics).
     """
+    train = dataset.train
+    if not train:
+        raise ValueError("finetune: the train split is empty")
     seed = config.seed if seed is None else seed
-    labels = sorted({c.label for c in dataset.train})
+    labels = sorted({c.label for c in train})
     label_pos = {lab: i for i, lab in enumerate(labels)}
     clf = PointCloudClassifier(config.model, config.patch_size, config.n_patches,
                                len(labels), seed=derive_seed(seed, "cls_init"))
@@ -295,8 +298,7 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
         clf.load_backbone(checkpoint.params)
     opt = AdamW(clf.store, lr=config.finetune_lr, weight_decay=config.weight_decay)
 
-    train = dataset.train
-    steps_per_epoch = max(1, math.ceil(len(train) / config.batch_size))
+    steps_per_epoch = math.ceil(len(train) / config.batch_size)
     total_steps = config.finetune_epochs * steps_per_epoch
     warmup_steps = min(max(1, total_steps // 10), total_steps - 1)  # one step: no warmup
     metrics = Metrics()
@@ -307,8 +309,6 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
         epoch_losses = []
         for b in range(steps_per_epoch):
             batch = order[b * config.batch_size:(b + 1) * config.batch_size]
-            if batch.size == 0:
-                continue
             # patch views are fixed per item; only the augmentation varies
             view_seeds = [derive_seed(seed, "view", int(idx)) for idx in batch]
             clouds = [augment(train[idx], derive_seed(seed, "aug", epoch, int(idx)))
@@ -348,60 +348,59 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
     Per run: sample classes, supports, and queries with a run-indexed seed,
     train a small head on the supports, report query accuracy. Returns a dict
     with the mean, the population standard deviation over runs, and the
-    per-run accuracies. Each head trains with AdamW at lr 5e-4.
+    per-run accuracies. Each head trains with AdamW at lr 5e-4. Episodes draw
+    pool positions: an object at two positions is two items, each embedded
+    once with its own position's seed.
     """
     counts = {"n_way": n_way, "m_shot": m_shot, "runs": runs, "test_per_class": test_per_class}
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"fewshot: {name} must be at least 1, got {value}")
-    by_class = {}
-    for cloud in pool:
-        by_class.setdefault(cloud.label, []).append(cloud)
+    by_class = {}  # label -> pool positions
+    for position, cloud in enumerate(pool):
+        by_class.setdefault(cloud.label, []).append(position)
     if len(by_class) < n_way:
         raise ValueError(f"need {n_way} classes, pool has {len(by_class)}")
     needed = m_shot + test_per_class
-    for label, items in sorted(by_class.items()):
-        if len(items) < needed:
+    for label, positions in sorted(by_class.items()):
+        if len(positions) < needed:
             raise ValueError(
-                f"class {label} has {len(items)} items, needs {needed}")
+                f"class {label} has {len(positions)} items, needs {needed}")
 
     cfg = checkpoint.config()
     backbone = checkpoint.build_model()   # its decoder stays unused
-
     feature_cache = {}
-    pool_index = {id(c): i for i, c in enumerate(pool)}
 
-    def stacked(pairs):
-        """(m, 2*dim) features and labels of (cloud, label) pairs; new clouds embed in one pass."""
-        keys = [pool_index[id(cloud)] for cloud, _ in pairs]
-        new = sorted(set(keys) - feature_cache.keys())
+    def features(positions):
+        """(m, 2*dim) features of pool positions; the ones not seen yet embed in one pass."""
+        new = sorted(set(positions) - feature_cache.keys())
         if new:
             feats = forward_only(
                 lambda: backbone.features_batch([pool[k] for k in new], cfg.n_patches,
                                                 [derive_seed(seed, "feat", k) for k in new]),
                 lambda out: {"features": out.data}).data
             feature_cache.update(zip(new, feats))
-        return Tensor(np.stack([feature_cache[k] for k in keys])), [y for _, y in pairs]
+        return Tensor(np.stack([feature_cache[k] for k in positions]))
 
-    labels_sorted = sorted(by_class.keys())
+    support_labels = np.repeat(np.arange(n_way), m_shot)
+    query_labels = np.repeat(np.arange(n_way), test_per_class)
     accuracies = []
     for run in range(runs):
         rng = derive_rng(seed, "episode", run)
-        classes = list(rng.choice(labels_sorted, size=n_way, replace=False))
-        supports, queries = [], []
-        for ci, label in enumerate(classes):
-            items = by_class[label]
-            picked = rng.permutation(len(items))[:needed]
-            for j in picked[:m_shot]:
-                supports.append((items[j], ci))
-            for j in picked[m_shot:]:
-                queries.append((items[j], ci))
-        head = _train_fewshot_head(cfg.model, n_way, *stacked(supports),
-                                   derive_seed(seed, "head", run), head_epochs)
-        feats, labels = stacked(queries)
+        picked = [[by_class[label][j] for j in rng.permutation(len(by_class[label]))[:needed]]
+                  for label in rng.choice(sorted(by_class), size=n_way, replace=False)]
+        supports = features([k for positions in picked for k in positions[:m_shot]])
+        # the head: full-batch AdamW on the mean support cross-entropy, one step per epoch
+        store = ParamStore(derive_seed(seed, "head", run))
+        head = MLP(store, "fewshot_head", 2 * cfg.model.dim, cfg.model.dim, n_way)
+        opt = AdamW(store, lr=5e-4, weight_decay=0.0)
+        for _ in range(head_epochs):
+            _train_step(store, lambda: cross_entropy_batch(head(supports), support_labels))
+            opt.step()
+        queries = features([k for positions in picked for k in positions[m_shot:]])
         with no_grad():
-            preds = np.argmax(head(feats).data, axis=1)
-        accuracies.append(int(np.sum(preds == labels)) / len(queries))
+            preds = np.argmax(head(queries).data, axis=1)
+        accuracies.append(int(np.sum(preds == query_labels)) / len(query_labels))
 
     acc = np.array(accuracies)
     return {
@@ -412,17 +411,6 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
         "m_shot": m_shot,
         "runs": runs,
     }
-
-
-def _train_fewshot_head(cfg, n_way, features, labels, seed, epochs):
-    """Full-batch AdamW on the mean support cross-entropy, one step per epoch."""
-    store = ParamStore(seed)
-    head = MLP(store, "fewshot_head", 2 * cfg.dim, cfg.dim, n_way)
-    opt = AdamW(store, lr=5e-4, weight_decay=0.0)
-    for _ in range(epochs):
-        _train_step(store, lambda: cross_entropy_batch(head(features), labels))
-        opt.step()
-    return head
 
 
 def ablate_mask(config: RunConfig, types=("random",), ratios=(0.4, 0.6, 0.8),
@@ -442,9 +430,9 @@ def ablate_mask(config: RunConfig, types=("random",), ratios=(0.4, 0.6, 0.8),
     configs = [_cell_config(config, ci, *cell) for ci, cell in enumerate(cells)]
     rows = []
     for (mask_type, ratio, placement), cell_cfg in zip(cells, configs):
-        ckpt, metrics = pretrain(cell_cfg, quiet=quiet)
         dataset = build_dataset(cell_cfg.data, cell_cfg.points,
                                 derive_seed(cell_cfg.seed, "dataset"))
+        ckpt, metrics = pretrain(cell_cfg, dataset=dataset, quiet=quiet)
         accuracy, _, _ = finetune_classify(dataset, cell_cfg, checkpoint=ckpt)
         rows.append({
             "mask_type": mask_type,

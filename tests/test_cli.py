@@ -6,7 +6,7 @@ import pytest
 
 from cloudmae import cli
 from cloudmae.cli import build_parser, main
-from cloudmae.config import RunConfig, apply_overrides, desk_preset
+from cloudmae.config import SHAPE_FAMILIES, RunConfig, apply_overrides, desk_preset
 from cloudmae.data import SyntheticSpec, gen_synthetic, load_points, save_ply, save_xyz
 from cloudmae.params import write_container
 from cloudmae.training import Checkpoint, pretrain, reconstruct
@@ -199,6 +199,23 @@ def test_gen_data_writes_manifest(tmp_path, tiny_config_file):
     entry = manifest["train"][0]
     cloud = load_points(out_dir / entry["file"])
     assert cloud.p == 96
+
+
+@pytest.mark.parametrize("families", [("cube", "sphere"), ("torus",)])
+def test_gen_data_names_files_by_the_label_family(tmp_path, tiny_config_file, families):
+    path = tmp_path / "families.json"
+    path.write_text(apply_overrides(RunConfig.from_json(tiny_config_file.read_text()),
+                                    families=families).to_json())
+    out_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(path), "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    entries = [entry for split in manifest.values() for entry in split]
+    assert {entry["family"] for entry in entries} == set(families)
+    for entry in entries:
+        family = SHAPE_FAMILIES[entry["label"]]
+        assert entry["family"] == family
+        assert entry["file"].split("/")[-1].startswith(f"{family}_")
+        assert load_points(out_dir / entry["file"]).p == 96
 
 
 def test_ablate_mask_tiny_grid(tmp_path, tiny_config_file, capsys):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from cloudmae.autodiff import NumericsError, no_grad
-from cloudmae.config import RunConfig, desk_preset
-from cloudmae.data import build_dataset, gen_synthetic, load_points, SyntheticSpec
+from cloudmae.config import RunConfig, apply_overrides, desk_preset
+from cloudmae.data import (DatasetSplit, build_dataset, gen_synthetic, load_points,
+                           SyntheticSpec)
 from cloudmae.geometry import PointCloud
 from cloudmae import params as params_mod
 from cloudmae.model import MaskedAutoencoder, PointCloudClassifier
 from cloudmae.params import write_container
-from cloudmae.seeding import derive_seed
+from cloudmae.seeding import derive_rng, derive_seed
 from cloudmae.training import (Checkpoint, Metrics, TrainingAbort, ablate_mask,
                                evaluate_classifier, fewshot_eval,
                                finetune_classify, pretrain, reconstruct,
@@ -40,6 +41,11 @@ def tiny_run():
 
 
 class TestPretrain:
+    def test_empty_train_split_named(self, tiny_run):
+        _, dataset, _, _ = tiny_run
+        with pytest.raises(ValueError, match="^pretrain: the train split is empty$"):
+            pretrain(tiny_config(), dataset=DatasetSplit(train=[], test=dataset.test))
+
     def test_zero_epochs_returns_initialization(self):
         cfg = tiny_config(epochs=0, warmup_epochs=0)
         ckpt, metrics = pretrain(cfg)
@@ -264,6 +270,11 @@ class TestMetrics:
 
 
 class TestFinetune:
+    def test_empty_train_split_named(self, tiny_run):
+        cfg, dataset, ckpt, _ = tiny_run
+        with pytest.raises(ValueError, match="^finetune: the train split is empty$"):
+            finetune_classify(DatasetSplit(train=[], test=dataset.test), cfg, checkpoint=ckpt)
+
     def test_single_class_dataset_is_perfect(self, tiny_run):
         cfg, dataset, ckpt, _ = tiny_run
         single = type(dataset)(
@@ -371,6 +382,44 @@ class TestFewshot:
         flat = [k for keys in calls for k in keys]
         assert len(flat) == len(set(flat))
 
+    def test_each_pool_position_embeds_once_with_its_own_seed(self, tiny_run, monkeypatch):
+        cfg, dataset, ckpt, _ = tiny_run
+        pool = dataset.train + dataset.train     # every object at two positions
+        seed, runs, n_way, m_shot, test_per_class = 9, 4, 2, 1, 2
+        position_of = {derive_seed(seed, "feat", k): k for k in range(len(pool))}
+        embedded = []
+        real = MaskedAutoencoder.features_batch
+
+        def counted(model, clouds, n_patches, seeds):
+            positions = [position_of[s] for s in seeds]
+            assert all(pool[k] is cloud for k, cloud in zip(positions, clouds))
+            embedded.extend(positions)
+            return real(model, clouds, n_patches, seeds)
+
+        monkeypatch.setattr(MaskedAutoencoder, "features_batch", counted)
+        fewshot_eval(ckpt, pool, n_way, m_shot, runs=runs, test_per_class=test_per_class,
+                     seed=seed, head_epochs=2)
+        # the episodes' draws: the classes, then one permutation per class in class order
+        labels = sorted({c.label for c in pool})
+        picked = set()
+        for run in range(runs):
+            rng = derive_rng(seed, "episode", run)
+            for label in rng.choice(labels, size=n_way, replace=False):
+                positions = [k for k, c in enumerate(pool) if c.label == label]
+                order = rng.permutation(len(positions))[:m_shot + test_per_class]
+                picked.update(positions[j] for j in order)
+        assert len(embedded) == len(set(embedded))
+        assert set(embedded) == picked
+        assert min(picked) < len(dataset.train) <= max(picked)
+
+    def test_distinct_pool_per_run_pinned(self, tiny_run):
+        _, dataset, ckpt, _ = tiny_run
+        pool = dataset.train + dataset.val + dataset.test
+        got = fewshot_eval(ckpt, pool, 3, 2, runs=4, test_per_class=3, seed=11,
+                           head_epochs=5)
+        # the values of the id-keyed implementation: distinct objects keep them
+        assert got["per_run"] == [3 / 9, 5 / 9, 4 / 9, 3 / 9]
+
     @pytest.mark.parametrize("name", ["n_way", "m_shot", "runs", "test_per_class"])
     def test_counts_below_one_rejected(self, tiny_run, name):
         _, dataset, ckpt, _ = tiny_run
@@ -467,6 +516,32 @@ class TestAblate:
         monkeypatch.setattr("cloudmae.training.pretrain", no_training)
         with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
             ablate_mask(tiny_config(epochs=0, warmup_epochs=0), ratios=(0.5,))
+
+    def test_one_dataset_per_cell_and_rows_unchanged(self, monkeypatch):
+        cfg = tiny_config(epochs=1, warmup_epochs=0)
+        want = []
+        for ci, (ratio, placement) in enumerate([(0.5, "decoder"),
+                                                 (cfg.mask_ratio, "encoder")]):
+            cell_cfg = apply_overrides(cfg, mask_type="random", mask_ratio=ratio,
+                                       seed=derive_seed(cfg.seed, "ablate", ci),
+                                       mask_token_placement=placement)
+            ckpt, metrics = pretrain(cell_cfg)
+            dataset = build_dataset(cell_cfg.data, cell_cfg.points,
+                                    derive_seed(cell_cfg.seed, "dataset"))
+            accuracy, _, _ = finetune_classify(dataset, cell_cfg, checkpoint=ckpt)
+            want.append({"mask_type": "random", "ratio": ratio, "placement": placement,
+                         "loss_x1000": metrics.final("loss_x1000"), "accuracy": accuracy})
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return build_dataset(*args)
+
+        monkeypatch.setattr("cloudmae.training.build_dataset", counted)
+        rows = ablate_mask(cfg, types=("random",), ratios=(0.5,), encoder_cell=True)
+        assert calls == [derive_seed(derive_seed(cfg.seed, "ablate", ci), "dataset")
+                         for ci in range(2)]
+        assert rows == want
 
     def test_grid_includes_encoder_cell(self):
         cfg = tiny_config(epochs=1, warmup_epochs=0)
