@@ -10,9 +10,9 @@ the encoder early.
 Every forward pass is batch-first: ``pretrain_forward_batch`` and
 ``MaskedAutoencoder.features_batch`` patchify the whole batch in one
 ``build_patches`` call and run a leading batch axis through one encoder stack
-and one decoder stack. The per-instance methods (``pretrain_forward``,
-``encode``, ``decode``, ``features``, ``logits``) are thin wrappers that run a
-batch of one.
+and one decoder stack; ``decode`` is that path's decoder step, for one sequence
+or a batch. ``pretrain_forward``, ``features`` and ``logits`` run the batch
+methods on a batch of one, and ``encode`` runs the encoder over one sequence.
 
 The ``train`` flag of the forward passes says whether a backward will follow.
 With ``train=False`` the pass runs through ``forward_only``: under
@@ -105,7 +105,7 @@ class TransformerBlock:
 
 
 def _run_stack(x, centers, pe_mlp, blocks, ln_g, ln_b):
-    """Positional MLP -> blocks -> layer norm on (B, s, dim) tokens at (B, s, 3) centers."""
+    """Positional MLP -> blocks -> layer norm on (..., s, dim) tokens at (..., s, 3) centers."""
     pe = ad.reshape(pe_mlp(np.reshape(centers, (-1, 3))), x.shape)
     for block in blocks:
         x = block(x, pe)
@@ -157,12 +157,12 @@ class MaskedAutoencoder:
         return ad.reshape(self.embedder(patches.reshape(b * s, k, 3)), (b, s, self.cfg.dim))
 
     def encoder_stack(self, x, centers):
-        """Encoder over (B, s, dim) tokens at (B, s, 3) centers."""
+        """Encoder over (..., s, dim) tokens at (..., s, 3) centers."""
         return _run_stack(x, centers, self.pe_encoder, self.encoder_blocks,
                           self.enc_ln_g, self.enc_ln_b)
 
     def decoder_stack(self, x, centers):
-        """Decoder over (B, s, dim) tokens at (B, s, 3) centers."""
+        """Decoder over (..., s, dim) tokens at (..., s, 3) centers."""
         return _run_stack(x, centers, self.pe_decoder, self.decoder_blocks,
                           self.dec_ln_g, self.dec_ln_b)
 
@@ -175,20 +175,21 @@ class MaskedAutoencoder:
         """
         if self.cfg.mask_token_placement == "decoder" and "mask" in seq.roles:
             raise ValueError("encoder received mask tokens in decoder placement mode")
-        x = self.encoder_stack(ad.reshape(seq.tokens, (1,) + seq.tokens.shape), seq.centers)
-        return TokenSequence(ad.reshape(x, seq.tokens.shape), seq.centers,
+        return TokenSequence(self.encoder_stack(seq.tokens, seq.centers), seq.centers,
                              ("encoded",) * len(seq.roles))
 
     def decode(self, encoded, mask_tokens, centers_all):
-        """Decode concat(encoded, mask tokens); return only the mask positions."""
-        v, mn = encoded.shape[0], mask_tokens.shape[0]
-        centers_all = np.asarray(centers_all, dtype=np.float64).reshape(-1, 3)
-        if centers_all.shape[0] != v + mn:
+        """Decode concat(encoded, mask tokens); return only the mask positions.
+
+        One sequence is (v, dim) and (mn, dim) tokens at (v+mn, 3) centers; a
+        batch has the same shapes with a leading batch axis.
+        """
+        v, mn = encoded.shape[-2], mask_tokens.shape[-2]
+        if np.shape(centers_all)[-2] != v + mn:
             raise ValueError(
-                f"decode: {centers_all.shape[0]} centers for {v}+{mn} tokens")
-        x = ad.reshape(ad.concat([encoded, mask_tokens], axis=0), (1, v + mn, self.cfg.dim))
-        x = self.decoder_stack(x, centers_all)
-        return ad.reshape(ad.gather(x, np.arange(v, v + mn), axis=1), (mn, self.cfg.dim))
+                f"decode: {np.shape(centers_all)[-2]} centers for {v}+{mn} tokens")
+        x = self.decoder_stack(ad.concat([encoded, mask_tokens], axis=-2), centers_all)
+        return ad.gather(x, np.arange(v, v + mn), axis=-2)
 
     def predict(self, decoded_mask_tokens):
         """FC head, then reshape (..., mn, dim) tokens to (..., mn, k, 3) patch offsets."""
@@ -204,24 +205,9 @@ class MaskedAutoencoder:
 
     def pretrain_forward(self, cloud, n_patches, ratio, seed, mask_type="random",
                          train=True):
-        """Full masked-reconstruction pass on one cloud: a batch of one.
-
-        Returns (loss, diagnostics); diagnostics carry the patch set, mask
-        spec, predicted patches, and ground-truth patches so callers can
-        export reconstructions.
-        """
-        loss, batch = self.pretrain_forward_batch([cloud], n_patches, ratio, [seed],
-                                                  mask_type=mask_type, train=train)
-        diagnostics = {
-            "patchset": batch["patchsets"][0],
-            "mask": batch["masks"][0],
-            "visible_count": batch["visible_count"],
-            "masked_count": batch["masked_count"],
-            "predicted": batch["predicted"][0],
-            "target": batch["target"][0],
-            "loss": float(loss.data),
-        }
-        return loss, diagnostics
+        """``pretrain_forward_batch`` on a batch of one; its (loss, diagnostics) as is."""
+        return self.pretrain_forward_batch([cloud], n_patches, ratio, [seed],
+                                           mask_type=mask_type, train=train)
 
     def pretrain_forward_batch(self, clouds, n_patches, ratio, seeds,
                                mask_type="random", train=True):
@@ -236,29 +222,23 @@ class MaskedAutoencoder:
         """
         patchsets = build_patches(clouds, n_patches, self.patch_size,
                                   [derive_seed(s, "patches") for s in seeds]).unstack()
-        masks, vis, gt, vis_c, all_c = [], [], [], [], []
-        for patchset, seed in zip(patchsets, seeds):
-            spec = make_mask(mask_type, patchset.n, patchset.centers, ratio,
-                             derive_seed(seed, "mask"))
-            (vis_p, vc), (gt_p, gc) = split_patches(patchset, spec)
-            masks.append(spec)
-            vis.append(vis_p)
-            gt.append(gt_p)
-            vis_c.append(vc)
-            all_c.append(np.concatenate([vc, gc], axis=0))
-        vis, gt = np.stack(vis), np.stack(gt)     # B x v x k x 3, B x mn x k x 3
+        masks = [make_mask(mask_type, ps.n, ps.centers, ratio, derive_seed(s, "mask"))
+                 for ps, s in zip(patchsets, seeds)]
+        visible, masked = zip(*(split_patches(ps, spec) for ps, spec in zip(patchsets, masks)))
+        vis, vis_c = map(np.stack, zip(*visible))    # B x v x k x 3, B x v x 3
+        gt, gt_c = map(np.stack, zip(*masked))       # B x mn x k x 3, B x mn x 3
         b, v, mn = len(clouds), vis.shape[1], gt.shape[1]
-        centers_all = np.stack(all_c)              # B x (v+mn) x 3
+        centers_all = np.concatenate([vis_c, gt_c], axis=1)   # B x (v+mn) x 3
 
         def forward():
             tokens = self.embed_batch(vis)
             t_m = self.mask_token.expand(b, mn)
             if self.cfg.mask_token_placement == "decoder":
-                x = ad.concat([self.encoder_stack(tokens, np.stack(vis_c)), t_m], axis=1)
-                x = self.decoder_stack(x, centers_all)
+                h_m = self.decode(self.encoder_stack(tokens, vis_c), t_m, centers_all)
             else:
                 x = self.encoder_stack(ad.concat([tokens, t_m], axis=1), centers_all)
-            predicted = self.predict(ad.gather(x, np.arange(v, v + mn), axis=1))
+                h_m = ad.gather(x, np.arange(v, v + mn), axis=1)
+            predicted = self.predict(h_m)
             return (batch_chamfer(predicted, Tensor(gt)) if mn else Tensor(0.0)), predicted
 
         if train:

@@ -203,6 +203,8 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
     raises TrainingAbort with the batch's item seeds and the op that made it;
     with ``out_dir`` set, ``abort.json`` records them first.
     """
+    if checkpoint_every < 0:
+        raise ValueError(f"pretrain: checkpoint_every must be >= 0, got {checkpoint_every}")
     seed = config.seed
     if dataset is None:
         dataset = build_dataset(config.data, config.points, derive_seed(seed, "dataset"))
@@ -286,11 +288,15 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
     from scratch. No masking and no augmentation at evaluation time.
     Returns (accuracy, classifier, Metrics).
     """
-    train = dataset.train
-    if not train:
-        raise ValueError("finetune: the train split is empty")
+    train, test = dataset.train, dataset.test
+    for name, split in (("train", train), ("test", test)):
+        if not split:
+            raise ValueError(f"finetune: the {name} split is empty")
     seed = config.seed if seed is None else seed
     labels = sorted({c.label for c in train})
+    missing = sorted({c.label for c in test} - set(labels))
+    if missing:
+        raise ValueError(f"finetune: test labels {missing} are absent from the train split")
     label_pos = {lab: i for i, lab in enumerate(labels)}
     clf = PointCloudClassifier(config.model, config.patch_size, config.n_patches,
                                len(labels), seed=derive_seed(seed, "cls_init"))
@@ -325,7 +331,7 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
         if not quiet:
             print(f"finetune epoch {epoch:3d}  ce {np.mean(epoch_losses):7.4f}")
 
-    accuracy = evaluate_classifier(clf, dataset.test, label_pos, seed)
+    accuracy = evaluate_classifier(clf, test, label_pos, seed)
     return accuracy, clf, metrics
 
 
@@ -479,13 +485,12 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed, mask_type="rando
     check_mask_ratio(n_patches, ratio)
     _, diag = model.pretrain_forward(cloud, n_patches, ratio, seed=seed,
                                      mask_type=mask_type, train=False)
-    ps, spec = diag["patchset"], diag["mask"]
+    ps, spec = diag["patchsets"][0], diag["masks"][0]
     vis_idx = np.unique(ps.point_indices[spec.visible].reshape(-1))
     visible_pts = cloud.points[vis_idx]
     centers_m = ps.centers[spec.masked]
-    predicted_abs = (diag["predicted"] + centers_m[:, None, :]).reshape(-1, 3)
-    k = ps.k
-    baseline_abs = np.repeat(centers_m, k, axis=0)
+    predicted_abs = (diag["predicted"][0] + centers_m[:, None, :]).reshape(-1, 3)
+    baseline_abs = np.repeat(centers_m, ps.k, axis=0)
 
     if len(spec.masked) == 0:
         recon = baseline = cloud.points

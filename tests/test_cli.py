@@ -116,6 +116,15 @@ def test_pretrain_then_downstream_commands(tmp_path, tiny_config_file, capsys):
         assert load_points(recon_dir / name).p > 0
 
 
+def test_negative_checkpoint_every_exits_1_and_writes_nothing(tmp_path, tiny_config_file,
+                                                               capsys):
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", str(tiny_config_file), "--out", str(out),
+                 "--checkpoint-every", "-2"]) == 1
+    assert "checkpoint_every must be >= 0, got -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_checks_config_and_progress(tmp_path, tiny_config_file, capsys):
     assert main(["pretrain", "--config", str(tiny_config_file), "--out", str(tmp_path / "a"),
                  "--checkpoint-every", "1"]) == 0

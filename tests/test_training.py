@@ -10,6 +10,7 @@ from cloudmae.data import (DatasetSplit, build_dataset, gen_synthetic, load_poin
                            SyntheticSpec)
 from cloudmae.geometry import PointCloud
 from cloudmae import params as params_mod
+from cloudmae import training
 from cloudmae.model import MaskedAutoencoder, PointCloudClassifier
 from cloudmae.params import write_container
 from cloudmae.seeding import derive_rng, derive_seed
@@ -32,6 +33,10 @@ def tiny_config(**overrides):
     return desk_preset(**base)
 
 
+def no_training(*args):
+    raise AssertionError("a training step ran")
+
+
 @pytest.fixture(scope="module")
 def tiny_run():
     cfg = tiny_config()
@@ -45,6 +50,12 @@ class TestPretrain:
         _, dataset, _, _ = tiny_run
         with pytest.raises(ValueError, match="^pretrain: the train split is empty$"):
             pretrain(tiny_config(), dataset=DatasetSplit(train=[], test=dataset.test))
+
+    def test_negative_checkpoint_every_named_before_training(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(training, "_train_step", no_training)
+        with pytest.raises(ValueError, match="^pretrain: checkpoint_every must be >= 0, got -2$"):
+            pretrain(tiny_config(epochs=4), out_dir=tmp_path / "run", checkpoint_every=-2)
+        assert not (tmp_path / "run").exists()
 
     def test_zero_epochs_returns_initialization(self):
         cfg = tiny_config(epochs=0, warmup_epochs=0)
@@ -274,6 +285,24 @@ class TestFinetune:
         cfg, dataset, ckpt, _ = tiny_run
         with pytest.raises(ValueError, match="^finetune: the train split is empty$"):
             finetune_classify(DatasetSplit(train=[], test=dataset.test), cfg, checkpoint=ckpt)
+
+    def test_empty_test_split_named_before_training(self, tiny_run, monkeypatch):
+        cfg, dataset, ckpt, _ = tiny_run
+        monkeypatch.setattr(training, "_train_step", no_training)
+        with pytest.raises(ValueError, match="^finetune: the test split is empty$"):
+            finetune_classify(DatasetSplit(train=dataset.train, test=[]), cfg, checkpoint=ckpt)
+
+    def test_test_labels_missing_from_train_named_before_training(self, tiny_run,
+                                                                   monkeypatch):
+        cfg, dataset, ckpt, _ = tiny_run
+        monkeypatch.setattr(training, "_train_step", no_training)
+        only_0 = DatasetSplit(train=[c for c in dataset.train if c.label == 0],
+                              test=dataset.test)
+        absent = sorted({c.label for c in dataset.test} - {0})
+        assert absent
+        with pytest.raises(ValueError, match=re.escape(
+                f"finetune: test labels {absent} are absent from the train split")):
+            finetune_classify(only_0, cfg, checkpoint=ckpt)
 
     def test_single_class_dataset_is_perfect(self, tiny_run):
         cfg, dataset, ckpt, _ = tiny_run
