@@ -10,6 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+CHUNK_ROWS = 1024  # point rows per patch-embedder chunk in a forward-only pass
+
 
 class MLP:
     """Linear -> GELU -> Linear on the last axis, registered as ``{prefix}.lin1``/``lin2``."""
@@ -51,10 +53,29 @@ class PatchEmbedder:
         self.stage2 = MLP(store, "embed.stage2", 2 * w2, w3, dim)
 
     def __call__(self, patches):
-        """Embed (v, k, 3) patches into (v, dim) tokens."""
+        """Embed (v, k, 3) patches into (v, dim) tokens.
+
+        Without a tape (inside ``no_grad``) the patches go through in chunks of
+        ``max(2, CHUNK_ROWS // k)``, so a forward-only pass holds hidden arrays
+        of about ``CHUNK_ROWS`` point rows instead of ``v * k``. Each token
+        depends only on its own patch, so the tokens are bit-identical to one
+        pass. A last chunk of one patch joins the chunk before it: numpy
+        multiplies a one-row matrix as a vector, which rounds differently from
+        the GEMM of one pass. With a tape it is one pass: backward keeps every
+        activation anyway, and one weight-gradient GEMM keeps its summation
+        order.
+        """
         x = patches if isinstance(patches, Tensor) else Tensor(patches)
         if x.ndim != 3 or x.shape[2] != 3:
             raise ValueError(f"patch embedder expects (v, k, 3), got {x.shape}")
+        v, k, _ = x.shape
+        bounds = [*range(0, v - 1, max(2, CHUNK_ROWS // k)), v]
+        if ad._recording or len(bounds) <= 2:
+            return self._embed(x)
+        return ad.concat([self._embed(Tensor(x.data[start:end]))
+                          for start, end in zip(bounds, bounds[1:])])
+
+    def _embed(self, x):
         v, k, _ = x.shape
         w2 = self.local_dim
         h = ad.reshape(self.stage1(ad.reshape(x, (v * k, 3))), (v, k, w2))

@@ -45,7 +45,7 @@ class ParamStore:
 
         A model built on it holds the same values as one built on a seeded
         store and then given ``load_arrays(arrays)``, without the RNG draws;
-        a registered name missing from ``arrays`` raises ``KeyError``. The
+        a registered name missing from ``arrays`` raises ``ValueError``. The
         arrays are shared, not copied: a parameter's ``data`` is the array
         given, so whoever writes into it in place writes into ``arrays`` too.
         """
@@ -104,23 +104,34 @@ class ParamStore:
 def _loaded(arrays, name, shape):
     """``arrays[name]`` as a contiguous float64 array of the registered shape."""
     if name not in arrays:
-        raise KeyError(f"missing parameter {name!r} in loaded arrays")
+        raise ValueError(f"missing parameter {name!r} in loaded arrays")
     if arrays[name].shape != shape:
         raise ShapeError(f"parameter {name!r}: loaded shape {arrays[name].shape} != {shape}")
     return np.ascontiguousarray(arrays[name], dtype=np.float64)
 
 
-def write_container(arrays, meta):
-    """Pack named float64 arrays behind a JSON header. Returns bytes."""
+def container_pieces(arrays, meta):
+    """The container of named float64 arrays, piece by piece in file order.
+
+    Magic, header length, JSON header, then each array's own contiguous
+    ``<f8`` buffer, copied only if it is not one already. A writer that
+    writes the pieces as they come never holds the whole file.
+    """
     header = {
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
         "meta": meta,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes]
+    yield _MAGIC
+    yield struct.pack("<Q", len(header_bytes))
+    yield header_bytes
     for v in arrays.values():
-        parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    return b"".join(parts)
+        yield np.ascontiguousarray(v, dtype="<f8")
+
+
+def write_container(arrays, meta):
+    """Pack named float64 arrays behind a JSON header. Returns bytes."""
+    return b"".join(container_pieces(arrays, meta))
 
 
 def read_container(blob):

@@ -9,6 +9,7 @@ replays the identical stream.
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,8 @@ from .embed import MLP
 from .geometry import chamfer_l2
 from .masking import check_mask_ratio
 from .model import MaskedAutoencoder, PointCloudClassifier, cross_entropy_batch, forward_only
-from .params import AdamW, ParamStore, cosine_lr, read_container, write_container
+from .params import (AdamW, ParamStore, container_pieces, cosine_lr, read_container,
+                     write_container)
 from .seeding import derive_rng, derive_seed
 
 
@@ -86,10 +88,12 @@ class Checkpoint:
             meta=meta,
         )
 
-    def to_bytes(self):
+    def _arrays(self):
         groups = zip(_CHECKPOINT_KINDS, (self.params, self.opt_m, self.opt_v))
-        return write_container({f"{kind}/{k}": v for kind, group in groups
-                                for k, v in group.items()}, self.meta)
+        return {f"{kind}/{k}": v for kind, group in groups for k, v in group.items()}
+
+    def to_bytes(self):
+        return write_container(self._arrays(), self.meta)
 
     @classmethod
     def from_bytes(cls, blob):
@@ -122,7 +126,22 @@ class Checkpoint:
                    opt_v=groups["opt_v"], meta=meta)
 
     def save(self, path):
-        Path(path).write_bytes(self.to_bytes())
+        """Write ``to_bytes()`` to ``path`` piece by piece, never holding the whole file.
+
+        The pieces go to a temporary file next to ``path``, which replaces
+        ``path`` only once complete: a save that fails leaves any old file
+        there as it was, and removes its temporary file.
+        """
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as f:
+                for piece in container_pieces(self._arrays(), self.meta):
+                    f.write(piece)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path):
@@ -504,7 +523,6 @@ def reconstruction_report(model, cloud, n_patches, ratio, seed, mask_type="rando
         "chamfer": chamfer_value(recon, cloud.points),
         "baseline_chamfer": chamfer_value(baseline, cloud.points),
         "mask": spec,
-        "patchset": ps,
     }
 
 

@@ -155,6 +155,25 @@ def test_resume_from_checkpoint_missing_a_moment_exits_1(tmp_path, tiny_config_f
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", [
+    ["reconstruct", "--out", "recon"],
+    ["fewshot", "--n-way", "2", "--m-shot", "1", "--runs", "1", "--test-per-class", "2"],
+    ["finetune"],
+])
+def test_checkpoint_missing_a_parameter_exits_1(tmp_path, tiny_config_file, command, capsys):
+    ckpt, _ = pretrain(apply_overrides(RunConfig.from_json(tiny_config_file.read_text()),
+                                       epochs=0, warmup_epochs=0))
+    for group in (ckpt.params, ckpt.opt_m, ckpt.opt_v):
+        del group["encoder.block0.attn.q.w"]
+    path = tmp_path / "partial.bin"
+    ckpt.save(path)
+    argv = command[:1] + ["--config", str(tiny_config_file), "--checkpoint", str(path)]
+    argv += [str(tmp_path / a) if a == "recon" else a for a in command[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: missing parameter 'encoder.block0.attn.q.w' in loaded arrays\n")
+
+
 def test_reconstruct_honours_mask_type(tmp_path, tiny_config_file, monkeypatch):
     cfg = RunConfig.from_json(tiny_config_file.read_text())
     cfg.epochs = cfg.warmup_epochs = 0

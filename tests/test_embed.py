@@ -3,7 +3,7 @@ import pytest
 
 from cloudmae import autodiff as ad
 from cloudmae.autodiff import Tensor, backward
-from cloudmae.embed import MaskToken, PatchEmbedder, PositionalMLP
+from cloudmae.embed import CHUNK_ROWS, MaskToken, PatchEmbedder, PositionalMLP
 from cloudmae.params import ParamStore
 
 
@@ -74,6 +74,51 @@ def test_split_stage2_matches_concat_form(store):
         results.append([out.data] + [t.grad for t in store.tensors()])
     for split, concat in zip(*results):
         assert np.abs(split - concat).max() <= 1e-12 * np.abs(concat).max()
+
+
+def tiny_embedder(store):
+    """A tiny embedder, its biases non-zero, and its chunk in patches of 8 points."""
+    embed = PatchEmbedder(store, dim=24, widths=(8, 16, 32))
+    rng = np.random.default_rng(5)
+    for t in store.tensors():
+        t.data = t.data + rng.normal(0.0, 0.02, size=t.data.shape)
+    return embed, CHUNK_ROWS // 8
+
+
+@pytest.mark.parametrize("patches, chunks", [(320, 3), (257, 2), (130, 2)])
+def test_forward_only_chunks_match_one_pass(store, monkeypatch, patches, chunks):
+    # 2.5 chunks end on a short chunk; one patch past two chunks joins the
+    # second, since numpy's one-row product rounds differently from a GEMM
+    embed, step = tiny_embedder(store)
+    assert step == 128
+    x = np.random.default_rng(6).normal(size=(patches, 8, 3))
+    calls = []
+
+    def counted(t):
+        calls.append(t.shape[0])
+        return PatchEmbedder._embed(embed, t)
+
+    with ad.no_grad():
+        one_pass = embed._embed(Tensor(x))
+        monkeypatch.setattr(embed, "_embed", counted)
+        chunked = embed(x)
+    assert len(calls) == chunks and min(calls) > 1 and sum(calls) == patches
+    assert chunked.data.tobytes() == one_pass.data.tobytes()
+
+
+def test_taped_pass_is_one_pass(store):
+    embed, step = tiny_embedder(store)
+    patches = np.random.default_rng(7).normal(size=(5 * step // 2, 8, 3))
+    proj = np.random.default_rng(8).normal(size=(patches.shape[0], 24))
+    runs = []
+    for fn in (embed, lambda p: embed._embed(Tensor(p))):
+        store.zero_grad()
+        out = fn(patches)
+        ops = [node._op for node in ad._topo_order(out)]
+        backward(ad.reduce_sum(out * proj))
+        runs.append((ops, out.data.tobytes(), [t.grad.tobytes() for t in store.tensors()]))
+    assert runs[0][0][-1] == "reduce_max" and "concat" not in runs[0][0]
+    assert runs[0] == runs[1]
 
 
 class TestPositionalMLP:

@@ -20,6 +20,7 @@ from cloudmae.autodiff import NumericsError, Tensor
 from cloudmae.cli import main
 from cloudmae.config import desk_preset
 from cloudmae.data import build_dataset
+from cloudmae.embed import CHUNK_ROWS
 from cloudmae.geometry import PointCloud
 from cloudmae.model import PointCloudClassifier
 from cloudmae.params import ParamStore
@@ -133,6 +134,22 @@ def test_poisoned_checkpoint_through_logits_batch(tiny, name, value, op):
     with pytest.raises(NumericsError) as info:
         clf.logits_batch(dataset.test[:4], [1, 2, 3, 4])
     _assert_names(info.value, op)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("embed.stage2.lin2.b", np.inf),
+    ("encoder.block0.attn.k.w", np.nan),
+])
+def test_poisoned_checkpoint_through_a_chunked_logits_batch(tiny, name, value):
+    # 17 clouds of 8 patches exceed one forward-only embedder chunk of 128
+    cfg, dataset, ckpt = tiny
+    clouds = (dataset.train + dataset.test)[:17]
+    assert len(clouds) * cfg.n_patches > CHUNK_ROWS // cfg.patch_size
+    clf = PointCloudClassifier(cfg.model, cfg.patch_size, cfg.n_patches, 3, seed=1)
+    clf.load_backbone(_poisoned_checkpoint(ckpt, name, value).params)
+    with pytest.raises(NumericsError) as info:
+        clf.logits_batch(clouds, list(range(len(clouds))))
+    _assert_names(info.value, "linear")
 
 
 @pytest.mark.parametrize("name, value, op", [

@@ -390,7 +390,7 @@ class TestClassifier:
     def test_load_backbone_missing_params_rejected(self):
         clf = PointCloudClassifier(SMALL, patch_size=8, n_patches=16,
                                    n_classes=3, seed=9)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="missing parameter 'embed.stage1.lin1.b'"):
             clf.load_backbone({"embed.stage1.lin1.w": np.zeros((3, 16))})
 
 

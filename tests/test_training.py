@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,11 +163,40 @@ class TestCheckpoint:
         _, _, ckpt, _ = tiny_run
         path = tmp_path / "ckpt.bin"
         ckpt.save(path)
+        assert path.read_bytes() == ckpt.to_bytes()
+        assert list(tmp_path.iterdir()) == [path]
         loaded = Checkpoint.load(path)
         assert loaded.meta == ckpt.meta
         for name in ckpt.params:
             assert ckpt.params[name].tobytes() == loaded.params[name].tobytes()
             assert ckpt.opt_m[name].tobytes() == loaded.opt_m[name].tobytes()
+
+    def test_failed_save_leaves_the_old_file_and_no_temporary(self, tiny_run, tmp_path):
+        _, _, ckpt, _ = tiny_run
+        path = tmp_path / "ckpt.bin"
+        ckpt.save(path)
+        old = path.read_bytes()
+        params = dict(ckpt.params)
+        second = list(params)[1]   # its payload follows the first one written
+        params[second] = np.array([object()] * params[second].size, dtype=object)
+        with pytest.raises(TypeError):
+            Checkpoint(params=params, opt_m=ckpt.opt_m, opt_v=ckpt.opt_v,
+                       meta=ckpt.meta).save(path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_holds_no_copy_of_the_file(self, tmp_path):
+        group = {f"w{i}": np.full((250, 1000), float(i)) for i in range(4)}
+        ckpt = Checkpoint(params=group, opt_m=group, opt_v=group,
+                          meta={"config": {}, "epoch": 0, "opt_step_count": 0})
+        path = tmp_path / "ckpt.bin"
+        tracemalloc.start()   # numpy reports its buffers to tracemalloc
+        try:
+            ckpt.save(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size
 
     def test_load_names_file_of_malformed_checkpoint(self, tiny_run, tmp_path):
         _, _, ckpt, _ = tiny_run
@@ -232,7 +262,7 @@ class TestCheckpoint:
         params = dict(ckpt.params)
         del params["head.w"]
         partial = Checkpoint(params=params, opt_m={}, opt_v={}, meta=ckpt.meta)
-        with pytest.raises(KeyError, match="head.w"):
+        with pytest.raises(ValueError, match="missing parameter 'head.w' in loaded arrays"):
             partial.build_model()
 
     def test_meta_without_counters_rejected(self, tmp_path):
