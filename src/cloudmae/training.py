@@ -49,11 +49,9 @@ class Metrics:
             raise ValueError("epoch indices must be strictly increasing")
         self.records.append(fields)
 
-    def to_jsonl(self):
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
-
     def save(self, path):
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records),
+                              encoding="utf-8")
 
     def deterministic_records(self):
         """Records minus wall-clock fields, for run-to-run comparison."""
@@ -213,14 +211,56 @@ def _flat(d, prefix=""):
     return out
 
 
+def _fit(opt, n_items, batch_size, epochs, prepare, seeds, *, lr_min, warmup=None, order=None,
+         size_weighted=False, start_epoch=0, out_path=None, after_epoch=None):
+    """The training loop of pretraining, fine-tuning and the few-shot heads; returns Metrics.
+
+    Each epoch batches the items in ``derive_rng(*order, epoch)``'s order (or
+    as given). Per batch: ``_train_step`` on the forward that ``prepare(epoch,
+    batch, seeds(epoch, batch))`` returns, then ``cosine_lr`` from ``opt.lr`` to
+    ``lr_min`` after ``warmup(total_steps, steps_per_epoch)`` steps, then AdamW.
+    A NaN/Inf raises TrainingAbort (after ``out_path/abort.json``, if given).
+    """
+    steps_per_epoch = math.ceil(n_items / batch_size)
+    total_steps = epochs * steps_per_epoch
+    warmup_steps = 0 if warmup is None else warmup(total_steps, steps_per_epoch)
+    metrics = Metrics()
+    for epoch in range(start_epoch, epochs):
+        t0 = time.perf_counter()
+        items = derive_rng(*order, epoch).permutation(n_items) if order else np.arange(n_items)
+        epoch_losses = []
+        for b in range(steps_per_epoch):
+            batch = items[b * batch_size:(b + 1) * batch_size]
+            batch_seeds = seeds(epoch, batch)
+            try:
+                loss = _train_step(opt.store, prepare(epoch, batch, batch_seeds))
+            except NumericsError as exc:
+                if out_path is not None:
+                    (out_path / "abort.json").write_text(json.dumps({
+                        "epoch": epoch, "item_seed": batch_seeds, "op": exc.op,
+                        "error": str(exc)}, indent=2))
+                raise TrainingAbort(
+                    f"non-finite loss at epoch {epoch}, batch seeds {batch_seeds}: {exc}",
+                    item_seed=batch_seeds, epoch=epoch, op=exc.op) from exc
+            epoch_losses.extend([float(loss.data)] * (batch.size if size_weighted else 1))
+            lr = cosine_lr(opt.step_count, total_steps, opt.lr, lr_min, warmup_steps)
+            opt.step(lr=lr)
+        mean_loss = np.mean(epoch_losses)
+        metrics.append(epoch=epoch, loss_x1000=float(mean_loss) * 1000.0, lr=lr,
+                       wall_time=time.perf_counter() - t0)
+        if after_epoch is not None:
+            after_epoch(epoch, mean_loss, lr)
+    return metrics
+
+
 def pretrain(config: RunConfig, resume: Checkpoint | None = None,
              out_dir=None, checkpoint_every=0, dataset=None, quiet=True):
     """Masked-reconstruction pretraining. Returns (Checkpoint, Metrics).
 
-    Per batch: augment, patchify, mask, forward, backward, AdamW step under a
-    warmup+cosine schedule. Logs the per-epoch mean loss (x1000). A NaN/Inf
-    raises TrainingAbort with the batch's item seeds and the op that made it;
-    with ``out_dir`` set, ``abort.json`` records them first.
+    Per batch: augment, patchify, mask, forward and backward, then ``cosine_lr``
+    (warm-up+cosine), then the AdamW step. The epoch loss (x1000) weights each
+    step by its batch size. A NaN/Inf raises TrainingAbort with the epoch, the
+    batch's item seeds and the op; with ``out_dir`` set, ``abort.json`` has them.
     """
     if checkpoint_every < 0:
         raise ValueError(f"pretrain: checkpoint_every must be >= 0, got {checkpoint_every}")
@@ -238,52 +278,28 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
     else:
         model, opt, start_epoch = resume.resume(config)
 
-    steps_per_epoch = math.ceil(len(train) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    warmup_steps = config.warmup_epochs * steps_per_epoch
-
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    metrics = Metrics()
-    lr = 0.0
-    for epoch in range(start_epoch, config.epochs):
-        t0 = time.perf_counter()
-        order = derive_rng(seed, "order", epoch).permutation(len(train))
-        epoch_losses = []
-        for b in range(steps_per_epoch):
-            batch = order[b * config.batch_size:(b + 1) * config.batch_size]
-            item_seeds = [derive_seed(seed, "item", epoch, int(idx)) for idx in batch]
-            clouds = [augment(train[idx], derive_seed(s, "aug"))
-                      for idx, s in zip(batch, item_seeds)]
-            try:
-                loss = _train_step(model.store, lambda: model.pretrain_forward_batch(
-                    clouds, config.n_patches, config.mask_ratio,
-                    seeds=item_seeds, mask_type=config.mask_type)[0])
-            except NumericsError as exc:
-                _dump_abort(out_path, epoch, item_seeds, exc)
-                raise TrainingAbort(
-                    f"non-finite loss at epoch {epoch}, batch seeds {item_seeds}: {exc}",
-                    item_seed=item_seeds, epoch=epoch, op=exc.op) from exc
-            epoch_losses.extend([float(loss.data)] * batch.size)
-            lr = cosine_lr(opt.step_count, total_steps, config.lr_max,
-                           config.lr_min, warmup_steps)
-            opt.step(lr=lr)
-        record = {
-            "epoch": epoch,
-            "loss_x1000": float(np.mean(epoch_losses)) * 1000.0,
-            "lr": lr,
-            "wall_time": time.perf_counter() - t0,
-        }
-        metrics.append(**record)
+    def prepare(epoch, batch, seeds):
+        clouds = [augment(train[idx], derive_seed(s, "aug")) for idx, s in zip(batch, seeds)]
+        return lambda: model.pretrain_forward_batch(clouds, config.n_patches, config.mask_ratio,
+                                                    seeds=seeds, mask_type=config.mask_type)[0]
+
+    def after_epoch(epoch, mean_loss, lr):
         if not quiet:
-            print(f"epoch {epoch:4d}  loss(x1000) {record['loss_x1000']:9.4f}  "
-                  f"lr {lr:.2e}")
+            print(f"epoch {epoch:4d}  loss(x1000) {float(mean_loss) * 1000.0:9.4f}  lr {lr:.2e}")
         if out_path is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
             Checkpoint.capture(model, opt, config, epoch + 1).save(
                 out_path / f"checkpoint_{epoch + 1:04d}.bin")
 
+    metrics = _fit(
+        opt, len(train), config.batch_size, config.epochs, prepare,
+        lambda epoch, batch: [derive_seed(seed, "item", epoch, int(idx)) for idx in batch],
+        lr_min=config.lr_min, warmup=lambda total, per_epoch: config.warmup_epochs * per_epoch,
+        order=(seed, "order"), size_weighted=True, start_epoch=start_epoch,
+        out_path=out_path, after_epoch=after_epoch)
     final = Checkpoint.capture(model, opt, config, config.epochs)
     if out_path is not None:
         final.save(out_path / "checkpoint_final.bin")
@@ -291,21 +307,15 @@ def pretrain(config: RunConfig, resume: Checkpoint | None = None,
     return final, metrics
 
 
-def _dump_abort(out_path, epoch, item_seed, exc):
-    if out_path is None:
-        return
-    out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / "abort.json").write_text(json.dumps({
-        "epoch": epoch, "item_seed": item_seed, "op": exc.op, "error": str(exc)}, indent=2))
-
-
 def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None = None,
                       seed=None, quiet=True):
-    """Train a classifier (encoder + pooled head) and report test accuracy.
+    """Train a classifier (encoder + pooled head); returns (test accuracy, classifier, Metrics).
 
     With ``checkpoint`` the encoder starts from pretrained weights, otherwise
-    from scratch. No masking and no augmentation at evaluation time.
-    Returns (accuracy, classifier, Metrics).
+    from scratch. Per batch: augment, forward and backward, then ``cosine_lr``
+    (warm-up over a tenth of the steps), then the AdamW step; the epoch loss is
+    the mean of the batch means. A NaN/Inf raises TrainingAbort with the epoch,
+    the batch's view seeds and the op. Evaluation neither masks nor augments.
     """
     train, test = dataset.train, dataset.test
     for name, split in (("train", train), ("test", test)):
@@ -323,33 +333,19 @@ def finetune_classify(dataset, config: RunConfig, checkpoint: Checkpoint | None 
         clf.load_backbone(checkpoint.params)
     opt = AdamW(clf.store, lr=config.finetune_lr, weight_decay=config.weight_decay)
 
-    steps_per_epoch = math.ceil(len(train) / config.batch_size)
-    total_steps = config.finetune_epochs * steps_per_epoch
-    warmup_steps = min(max(1, total_steps // 10), total_steps - 1)  # one step: no warmup
-    metrics = Metrics()
-    lr = 0.0
-    for epoch in range(config.finetune_epochs):
-        t0 = time.perf_counter()
-        order = derive_rng(seed, "ft_order", epoch).permutation(len(train))
-        epoch_losses = []
-        for b in range(steps_per_epoch):
-            batch = order[b * config.batch_size:(b + 1) * config.batch_size]
-            # patch views are fixed per item; only the augmentation varies
-            view_seeds = [derive_seed(seed, "view", int(idx)) for idx in batch]
-            clouds = [augment(train[idx], derive_seed(seed, "aug", epoch, int(idx)))
-                      for idx in batch]
-            labels = [label_pos[train[idx].label] for idx in batch]
-            loss = _train_step(clf.store, lambda: cross_entropy_batch(
-                clf.logits_batch(clouds, view_seeds, train=True), labels))
-            epoch_losses.append(float(loss.data))
-            lr = cosine_lr(opt.step_count, total_steps, config.finetune_lr,
-                           config.lr_min, warmup_steps)
-            opt.step(lr=lr)
-        metrics.append(epoch=epoch, loss_x1000=float(np.mean(epoch_losses)) * 1000.0,
-                       lr=lr, wall_time=time.perf_counter() - t0)
-        if not quiet:
-            print(f"finetune epoch {epoch:3d}  ce {np.mean(epoch_losses):7.4f}")
+    def prepare(epoch, batch, seeds):
+        clouds = [augment(train[idx], derive_seed(seed, "aug", epoch, int(idx))) for idx in batch]
+        labels = [label_pos[train[idx].label] for idx in batch]
+        return lambda: cross_entropy_batch(clf.logits_batch(clouds, seeds, train=True), labels)
 
+    # patch views are fixed per item; only the augmentation varies
+    metrics = _fit(
+        opt, len(train), config.batch_size, config.finetune_epochs, prepare,
+        lambda epoch, batch: [derive_seed(seed, "view", int(idx)) for idx in batch],
+        lr_min=config.lr_min,
+        warmup=lambda total, per_epoch: min(max(1, total // 10), total - 1),  # 1 step: none
+        order=(seed, "ft_order"), after_epoch=None if quiet else (
+            lambda epoch, mean_loss, lr: print(f"finetune epoch {epoch:3d}  ce {mean_loss:7.4f}")))
     accuracy = evaluate_classifier(clf, test, label_pos, seed)
     return accuracy, clf, metrics
 
@@ -373,9 +369,11 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
     Per run: sample classes, supports, and queries with a run-indexed seed,
     train a small head on the supports, report query accuracy. Returns a dict
     with the mean, the population standard deviation over runs, and the
-    per-run accuracies. Each head trains with AdamW at lr 5e-4. Episodes draw
-    pool positions: an object at two positions is two items, each embedded
-    once with its own position's seed.
+    per-run accuracies. Each head takes one full-batch step per epoch: forward
+    and backward, then ``cosine_lr`` (constant 5e-4), then the AdamW step; a
+    NaN/Inf raises TrainingAbort with the epoch, the supports' feature seeds
+    and the op. Episodes draw pool positions: an object at two positions is two
+    items, each embedded once with its own position's seed.
     """
     counts = {"n_way": n_way, "m_shot": m_shot, "runs": runs, "test_per_class": test_per_class}
     for name, value in counts.items():
@@ -414,14 +412,15 @@ def fewshot_eval(checkpoint: Checkpoint, pool, n_way, m_shot, runs=10,
         rng = derive_rng(seed, "episode", run)
         picked = [[by_class[label][j] for j in rng.permutation(len(by_class[label]))[:needed]]
                   for label in rng.choice(sorted(by_class), size=n_way, replace=False)]
-        supports = features([k for positions in picked for k in positions[:m_shot]])
+        shots = [k for positions in picked for k in positions[:m_shot]]
+        supports = features(shots)
         # the head: full-batch AdamW on the mean support cross-entropy, one step per epoch
         store = ParamStore(derive_seed(seed, "head", run))
         head = MLP(store, "fewshot_head", 2 * cfg.model.dim, cfg.model.dim, n_way)
         opt = AdamW(store, lr=5e-4, weight_decay=0.0)
-        for _ in range(head_epochs):
-            _train_step(store, lambda: cross_entropy_batch(head(supports), support_labels))
-            opt.step()
+        _fit(opt, len(shots), len(shots), head_epochs,
+             lambda *_: lambda: cross_entropy_batch(head(supports), support_labels),
+             lambda epoch, batch: [derive_seed(seed, "feat", k) for k in shots], lr_min=opt.lr)
         queries = features([k for positions in picked for k in positions[m_shot:]])
         with no_grad():
             preds = np.argmax(head(queries).data, axis=1)

@@ -216,10 +216,14 @@ def test_criterion_7_ablation_directions():
               f"{losses[0.8]:.2f} enc {metrics_enc.final('loss_x1000'):.2f} "
               f"acc dec/enc {a_dec:.3f}/{a_enc:.3f}")
 
-    assert mono_wins >= 2, f"ratio monotonicity in {mono_wins}/3 seeds"
-    assert leak_wins >= 2, f"encoder-placement lower loss in {leak_wins}/3 seeds"
-    assert np.mean(acc_dec) >= np.mean(acc_enc), \
-        f"decoder {np.mean(acc_dec):.3f} vs encoder {np.mean(acc_enc):.3f}"
+    # every failed sub-check is named, not only the first
+    failures = [message for holds, message in (
+        (mono_wins >= 2, f"ratio monotonicity in {mono_wins}/3 seeds"),
+        (leak_wins >= 2, f"encoder-placement lower loss in {leak_wins}/3 seeds"),
+        (np.mean(acc_dec) >= np.mean(acc_enc),
+         f"decoder {np.mean(acc_dec):.3f} vs encoder {np.mean(acc_enc):.3f}"),
+    ) if not holds]
+    assert not failures, "; ".join(failures)
     report(7, f"loss monotonic in {mono_wins}/3 seeds; leakage loss lower in "
               f"{leak_wins}/3; finetune acc decoder {np.mean(acc_dec):.3f} >= "
               f"encoder {np.mean(acc_enc):.3f}")

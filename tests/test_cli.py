@@ -11,6 +11,8 @@ from cloudmae.data import SyntheticSpec, gen_synthetic, load_points, save_ply, s
 from cloudmae.params import write_container
 from cloudmae.training import Checkpoint, pretrain, reconstruct
 
+from test_finite_checks import FINETUNE_FIRST_BATCH
+
 
 @pytest.fixture
 def tiny_config_file(tmp_path):
@@ -172,6 +174,20 @@ def test_checkpoint_missing_a_parameter_exits_1(tmp_path, tiny_config_file, comm
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: missing parameter 'encoder.block0.attn.q.w' in loaded arrays\n")
+
+
+def test_finetune_on_a_checkpoint_with_a_nan_exits_2_naming_op_epoch_and_batch(
+        tmp_path, tiny_config_file, capsys):
+    ckpt, _ = pretrain(apply_overrides(RunConfig.from_json(tiny_config_file.read_text()),
+                                       epochs=0, warmup_epochs=0))
+    ckpt.params["encoder.block0.attn.k.w"].flat[0] = np.nan
+    path = tmp_path / "nan.bin"
+    ckpt.save(path)
+    assert main(["finetune", "--config", str(tiny_config_file), "--checkpoint", str(path)]) == 2
+    # the config file holds tiny_config()'s data, batch size and seed
+    assert capsys.readouterr().err.startswith(
+        "numerical failure in op linear: non-finite loss at epoch 0, "
+        f"batch seeds {FINETUNE_FIRST_BATCH}: linear: ")
 
 
 def test_reconstruct_honours_mask_type(tmp_path, tiny_config_file, monkeypatch):

@@ -38,6 +38,11 @@ ITEM_1_BATCH = [3775856811390427626, 6469415324487317931, 3710897579100069033,
 # the first batch of epoch 3, where a resumed tiny run starts
 EPOCH_3_BATCH = [1342142524421453641, 15624332673339387996, 7780454288914666104,
                  10409209455631318935]
+# the view seeds of fine-tuning's first batch under tiny_config()'s seed
+FINETUNE_FIRST_BATCH = [14112544204032018060, 11918562245794124605, 3379406100059477046,
+                        2369511563714086412]
+# the feature seeds of the supports of the first few-shot run below
+FEWSHOT_SUPPORTS = [8086930927626217430, 15776609772465059789]
 
 
 @pytest.fixture(scope="module")
@@ -108,18 +113,25 @@ def test_cloud_with_huge_finite_coordinates_in_pretrain(tiny):
 def test_poisoned_classifier_head_in_finetune(tiny, poison):
     cfg, dataset, ckpt = tiny
     poison("cls_head.lin2.w", np.nan)
-    with pytest.raises(NumericsError) as info:
+    with pytest.raises(TrainingAbort) as info:
         finetune_classify(dataset, cfg, checkpoint=ckpt)
-    _assert_names(info.value, "linear")
+    abort = info.value
+    assert (abort.epoch, abort.item_seed, abort.op) == (0, FINETUNE_FIRST_BATCH, "linear")
+    assert str(abort).startswith(
+        f"non-finite loss at epoch 0, batch seeds {FINETUNE_FIRST_BATCH}: linear: ")
+    _assert_names(abort.__cause__, "linear")
 
 
 def test_poisoned_fewshot_head(tiny, poison):
     _, dataset, ckpt = tiny
+    pool = dataset.train + dataset.test
     poison("fewshot_head.lin2.w", np.nan)
-    with pytest.raises(NumericsError) as info:
-        fewshot_eval(ckpt, dataset.train + dataset.test, 2, 1, runs=2, test_per_class=2,
-                     seed=3, head_epochs=3)
-    _assert_names(info.value, "linear")
+    with pytest.raises(TrainingAbort) as info:
+        fewshot_eval(ckpt, pool, 2, 1, runs=2, test_per_class=2, seed=3, head_epochs=3)
+    abort = info.value
+    assert (abort.epoch, abort.item_seed, abort.op) == (0, FEWSHOT_SUPPORTS, "linear")
+    assert set(FEWSHOT_SUPPORTS) <= {derive_seed(3, "feat", k) for k in range(len(pool))}
+    _assert_names(abort.__cause__, "linear")
 
 
 @pytest.mark.parametrize("name, value, op", [

@@ -46,6 +46,28 @@ def tiny_run():
     return cfg, dataset, ckpt, metrics
 
 
+# 12 train clouds in batches of 5: steps of 5, 5 and 2 clouds per epoch
+SHORT_LAST_BATCH = tiny_config(batch_size=5, epochs=2, warmup_epochs=1, finetune_epochs=2)
+
+
+@pytest.fixture
+def step_losses(monkeypatch):
+    """The loss of every training step, in order, as ``_train_step`` returns it."""
+    losses, step = [], training._train_step
+
+    def probe(store, forward):
+        loss = step(store, forward)
+        losses.append(float(loss.data))
+        return loss
+
+    monkeypatch.setattr(training, "_train_step", probe)
+    return losses
+
+
+def per_epoch(losses, steps):
+    return [losses[i:i + steps] for i in range(0, len(losses), steps)]
+
+
 class TestPretrain:
     def test_empty_train_split_named(self, tiny_run):
         _, dataset, _, _ = tiny_run
@@ -137,6 +159,15 @@ class TestPretrain:
         _, _, _, metrics = tiny_run
         assert [r["epoch"] for r in metrics.records] == [0, 1, 2]
         assert all(r["loss_x1000"] > 0 for r in metrics.records)
+
+    def test_epoch_loss_weights_a_short_last_batch_by_size(self, step_losses):
+        _, metrics = pretrain(SHORT_LAST_BATCH)
+        epochs = per_epoch(step_losses, 3)
+        assert len(epochs) == len(metrics.records) == 2
+        for record, losses in zip(metrics.records, epochs):
+            weighted = np.average(losses, weights=[5, 5, 2]) * 1000.0
+            assert record["loss_x1000"] == pytest.approx(weighted, rel=1e-12)
+            assert abs(weighted - np.mean(losses) * 1000.0) > 1e-9 * weighted
 
     def test_abort_on_numerics_error(self, monkeypatch, tmp_path):
         cfg = tiny_config()
@@ -353,6 +384,17 @@ class TestFinetune:
         acc, clf, metrics = finetune_classify(dataset, cfg, checkpoint=ckpt)
         assert 0.0 <= acc <= 1.0
         assert len(metrics.records) == cfg.finetune_epochs
+
+    def test_epoch_loss_averages_batch_means(self, tiny_run, step_losses):
+        _, dataset, ckpt, _ = tiny_run
+        _, _, metrics = finetune_classify(dataset, SHORT_LAST_BATCH, checkpoint=ckpt)
+        epochs = per_epoch(step_losses, 3)
+        assert len(epochs) == len(metrics.records) == 2
+        for record, losses in zip(metrics.records, epochs):
+            plain = np.mean(losses) * 1000.0
+            assert record["loss_x1000"] == pytest.approx(plain, rel=1e-12)
+            weighted = np.average(losses, weights=[5, 5, 2]) * 1000.0
+            assert abs(weighted - plain) > 1e-9 * plain
 
 
 class TestFewshot:
